@@ -763,46 +763,19 @@ let work ?(name = Printf.sprintf "w%d" (Unix.getpid ())) ?(slot = -1)
 (* ------------------------------------------------------------------ *)
 (* one-command local mode *)
 
-let absorb_worker_caches ~cache ~dirs st =
-  match cache with
-  | None -> ()
-  | Some c ->
-    List.iter
-      (fun wdir ->
-        let donor = Filename.concat wdir "cache" in
-        if Sys.file_exists donor then
-          match Rcache.absorb c donor with
-          | (a : Rcache.absorb_stats) ->
-            st.absorbed <- st.absorbed + a.Rcache.absorbed;
-            st.absorb_duplicates <- st.absorb_duplicates + a.Rcache.duplicates;
-            st.absorb_rejected <- st.absorb_rejected + a.Rcache.rejected
-          | exception Rcache.Cache_error msg ->
-            (* the sweep's results are already in hand; a donor cache
-               too mangled to merge costs warm-start, not correctness *)
-            Printf.eprintf "dist: skipping unmergeable worker cache %s: %s\n%!"
-              donor msg)
-      dirs
-
-(* same merge discipline for the workers' trace stores: donors at
-   <worker_dir>/tstore, counted by Tstore's own obs metrics (the result
-   stats record stays about result caches) *)
-let absorb_worker_tstores ~tstore ~dirs =
-  match tstore with
-  | None -> ()
-  | Some ts ->
-    List.iter
-      (fun wdir ->
-        let donor = Filename.concat wdir "tstore" in
-        if Sys.file_exists donor then
-          match Tstore.absorb ts donor with
-          | (_ : Tstore.absorb_stats) -> ()
-          | exception Tstore.Store_error msg ->
-            (* a donor store too mangled to merge costs warm-start on
-               the next grid replay, not correctness *)
-            Printf.eprintf
-              "dist: skipping unmergeable worker trace store %s: %s\n%!"
-              donor msg)
-      dirs
+(* fold every worker's <worker_dir>/<sub> store into the primary one; a
+   donor too mangled to merge costs warm-start on the next run, not
+   correctness *)
+let absorb_workers ~dirs ~sub ~what absorb =
+  List.iter
+    (fun wdir ->
+      let donor = Filename.concat wdir sub in
+      if Sys.file_exists donor then
+        try absorb donor
+        with Dlog.Error msg ->
+          Printf.eprintf "dist: skipping unmergeable worker %s %s: %s\n%!"
+            what donor msg)
+    dirs
 
 let sweep_local ~workers ~dir ?(max_respawns = 2) ?cache ?tstore ?meta spec
     ~make_eval =
@@ -980,8 +953,21 @@ let sweep_local ~workers ~dir ?(max_respawns = 2) ?cache ?tstore ?meta spec
   let dirs =
     List.init workers (fun i -> worker_dir ~dir i) @ [ serial_dir dir ]
   in
-  absorb_worker_caches ~cache ~dirs stats;
-  absorb_worker_tstores ~tstore ~dirs;
+  (* the run stats count result-cache merges only; trace stores are
+     counted by their own tstore.absorb* metrics *)
+  Option.iter
+    (fun c ->
+      absorb_workers ~dirs ~sub:"cache" ~what:"cache" (fun donor ->
+          let a = Rcache.absorb c donor in
+          stats.absorbed <- stats.absorbed + a.Rcache.absorbed;
+          stats.absorb_duplicates <- stats.absorb_duplicates + a.duplicates;
+          stats.absorb_rejected <- stats.absorb_rejected + a.rejected))
+    cache;
+  Option.iter
+    (fun ts ->
+      absorb_workers ~dirs ~sub:"tstore" ~what:"trace store" (fun donor ->
+          ignore (Tstore.absorb ts donor)))
+    tstore;
   (stats, costs)
 
 (* ------------------------------------------------------------------ *)

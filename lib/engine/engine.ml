@@ -2,6 +2,7 @@
    over the one hot operation of the whole system, "apply sequence, run
    the simulator, read cycles and counters". *)
 
+module Dlog = Dlog
 module Rcache = Rcache
 module Pool = Pool
 module Faults = Faults

@@ -46,6 +46,7 @@
 (* the submodules, re-exported: the library is wrapped, so this is the
    public path to the result store, the worker pool, the fault-injection
    layer and the sweep journal *)
+module Dlog = Dlog
 module Rcache = Rcache
 module Pool = Pool
 module Faults = Faults

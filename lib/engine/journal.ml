@@ -1,7 +1,7 @@
-(* Chunked sweep journal: Rcache's checksummed-line discipline applied
-   to "chunks k of this sweep are done, with these costs".  Costs are
-   printed as %h hex floats (lossless round-trip, including infinity),
-   so a resumed sweep reproduces an uninterrupted one bit for bit.
+(* Chunked sweep journal: "chunks k of this sweep are done, with these
+   costs" as sealed lines in a durable log (see Dlog).  Costs are printed
+   as %h hex floats (lossless round-trip, including infinity), so a
+   resumed sweep reproduces an uninterrupted one bit for bit.
 
    Format 2 puts the chunk total next to the key in the header
    (mira-journal 2|<key>|<total>), so progress reporting — the
@@ -15,27 +15,21 @@ let magic = "mira-journal 2"
 (* observability: checkpoint lifecycle.  Chunks replayed from disk vs
    evaluated fresh tell a resume-vs-cold story in one table; each fresh
    chunk is a span so sweeps read as a sequence of checkpoints in the
-   trace.  Discarded journals (stale key, alien file) used to vanish
-   silently; now they are counted and warned about, since a discard
-   means a sweep someone checkpointed is about to be recomputed. *)
+   trace.  Discarded journals (stale key, alien file) are counted and
+   warned about, since a discard means a sweep someone checkpointed is
+   about to be recomputed. *)
 let m_recorded = Obs.Metrics.counter "journal.chunks_recorded"
 let m_reused = Obs.Metrics.counter "journal.chunks_reused"
-let m_quarantined = Obs.Metrics.counter "journal.quarantined"
 let m_discarded = Obs.Metrics.counter "journal.discarded"
 let m_torn_tail = Obs.Metrics.counter "journal.torn_tail"
 let chunk_ms = Obs.Metrics.histogram "journal.chunk_ms"
 
 type t = {
-  path : string;
-  header : string;
   chunks : (int, float array) Hashtbl.t;
-  mutable quarantined : int;
-  mutable oc : out_channel option;
+  log : (int * float array) Dlog.t;
 }
 
 type description = { key : string; total : int; done_chunks : int; torn : int }
-
-let dec s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
 
 let header_of ~key ~total = Printf.sprintf "%s|%s|%d" magic key total
 
@@ -52,7 +46,7 @@ let parse_header line =
     | Some i ->
       let key = String.sub rest 0 i in
       let total = String.sub rest (i + 1) (String.length rest - i - 1) in
-      if key <> "" && dec total then Some (key, int_of_string total)
+      if key <> "" && Dlog.dec total then Some (key, int_of_string total)
       else None
 
 let payload_of_chunk idx costs =
@@ -62,7 +56,7 @@ let payload_of_chunk idx costs =
 
 let chunk_of_payload payload =
   match String.split_on_char '|' payload with
-  | [ "chunk"; idx; costs ] when dec idx -> (
+  | [ "chunk"; idx; costs ] when Dlog.dec idx -> (
     match
       ( int_of_string idx,
         if costs = "" then [||]
@@ -70,14 +64,31 @@ let chunk_of_payload payload =
           Array.of_list
             (List.map float_of_string (String.split_on_char ',' costs)) )
     with
-    | idx, costs -> Some (idx, costs)
+    | idx, costs -> Some (string_of_int idx, (idx, costs))
     | exception _ -> None)
   | _ -> None
 
-(* a stale or alien journal is never resumed — but it is no longer
-   discarded in silence: the warning names the file so an operator can
-   tell "fresh experiment" from "I pointed two different sweeps at the
-   same journal path" *)
+(* a journal is opened by path, without a lock: [file] and [lock] are
+   unused, and [magic] is replaced by the sweep's own header *)
+let spec =
+  {
+    Dlog.name = "journal";
+    noun = "sweep journal";
+    file = "";
+    lock = "";
+    magic;
+    legacy = [];
+    blob = false;
+    parse =
+      (fun marker payload ->
+        if marker = None then chunk_of_payload payload else None);
+    print = (fun _ (idx, costs) -> payload_of_chunk idx costs);
+  }
+
+(* a stale or alien journal is never resumed — but it is not discarded
+   in silence: the warning names the file so an operator can tell
+   "fresh experiment" from "I pointed two different sweeps at the same
+   journal path" *)
 let note_discarded ~path ~why =
   Obs.Metrics.incr m_discarded;
   Obs.Trace.instant ~cat:"journal" "journal.discarded";
@@ -87,91 +98,32 @@ let note_discarded ~path ~why =
 
 let open_ ~path ~key ~total =
   let header = header_of ~key ~total in
-  let t =
-    {
-      path;
-      header;
-      chunks = Hashtbl.create 64;
-      quarantined = 0;
-      oc = None;
-    }
-  in
-  let resumable =
-    Sys.file_exists path
-    &&
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match input_line ic with
-        | h when h = header ->
-          (try
-             while true do
-               let line = input_line ic in
-               if line <> "" then
-                 match
-                   Option.bind (Rcache.unseal_line line) chunk_of_payload
-                 with
-                 | Some (idx, costs) -> Hashtbl.replace t.chunks idx costs
-                 | None ->
-                   t.quarantined <- t.quarantined + 1;
-                   Obs.Metrics.incr m_quarantined
-             done
-           with End_of_file -> ());
-          true
-        | h ->
-          (* different key/total or alien file: start over, loudly *)
+  let chunks = Hashtbl.create 64 in
+  let log =
+    Dlog.open_file { spec with magic = header } path
+      ~header:(fun h ->
+        if h = header then Dlog.Current
+        else begin
           note_discarded ~path
             ~why:
               (if parse_header h <> None then "journal for a different sweep"
                else "not a sweep journal");
-          false
-        | exception End_of_file -> false)
+          Dlog.Stale
+        end)
+      ~load:(fun _ (idx, costs) _ -> Hashtbl.replace chunks idx costs)
   in
-  if resumable && t.quarantined = 0 then
-    t.oc <-
-      Some (open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path)
-  else begin
-    (* fresh start — or scrub: rewrite the valid chunks so a torn tail
-       cannot glue onto the next append *)
-    let oc = open_out path in
-    output_string oc header;
-    output_char oc '\n';
-    Hashtbl.fold (fun idx costs acc -> (idx, costs) :: acc) t.chunks []
-    |> List.sort compare
-    |> List.iter (fun (idx, costs) ->
-           output_string oc (Rcache.seal_line (payload_of_chunk idx costs));
-           output_char oc '\n');
-    flush oc;
-    t.oc <- Some oc
-  end;
-  t
+  { chunks; log }
 
 let find t idx = Hashtbl.find_opt t.chunks idx
 
 let record t idx costs =
   Hashtbl.replace t.chunks idx costs;
-  match t.oc with
-  | None -> ()
-  | Some oc ->
-    let line = Rcache.seal_line (payload_of_chunk idx costs) in
-    if Faults.fires ~index:idx "sweep-torn" then
-      output_string oc (String.sub line 0 (String.length line / 2))
-    else begin
-      output_string oc line;
-      output_char oc '\n'
-    end;
-    flush oc
+  ignore
+    (Dlog.append t.log (string_of_int idx) (idx, costs) (fun () ->
+         { Dlog.intact with tear = Faults.fires ~index:idx "sweep-torn" }))
 
-let quarantined t = t.quarantined
-
-let close t =
-  match t.oc with
-  | None -> ()
-  | Some oc ->
-    (try close_out oc with Sys_error _ -> ());
-    t.oc <- None
-
+let quarantined t = Dlog.quarantined t.log
+let close t = Dlog.close t.log
 let remove path = if Sys.file_exists path then Sys.remove path
 
 (* progress without resuming: header + count of validly journaled
@@ -183,36 +135,23 @@ let remove path = if Sys.file_exists path then Sys.remove path
    failing the description: a progress report over a crashed run is the
    main reason this function exists. *)
 let describe ~path =
-  if not (Sys.file_exists path) then None
-  else
-    let ic = try Some (open_in path) with Sys_error _ -> None in
-    Option.bind ic @@ fun ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match input_line ic with
-        | exception End_of_file -> None
-        | h -> (
-          match parse_header h with
-          | None -> None
-          | Some (key, total) ->
-            let seen = Hashtbl.create 16 in
-            let torn = ref 0 in
-            (try
-               while true do
-                 let line = input_line ic in
-                 if line <> "" then
-                   match
-                     Option.bind (Rcache.unseal_line line) chunk_of_payload
-                   with
-                   | Some (idx, _) -> Hashtbl.replace seen idx ()
-                   | None ->
-                     incr torn;
-                     Obs.Metrics.incr m_torn_tail
-               done
-             with End_of_file -> ());
-            Some
-              { key; total; done_chunks = Hashtbl.length seen; torn = !torn }))
+  let desc = ref None and seen = Hashtbl.create 16 and torn = ref 0 in
+  match
+    Dlog.scan spec path
+      ~header:(fun h ->
+        desc := parse_header h;
+        if !desc = None then Dlog.Stale else Dlog.Current)
+      ~bad:(fun () ->
+        incr torn;
+        Obs.Metrics.incr m_torn_tail)
+      (fun k _ _ -> Hashtbl.replace seen k ())
+  with
+  | exception Sys_error _ -> None
+  | _ ->
+    Option.map
+      (fun (key, total) ->
+        { key; total; done_chunks = Hashtbl.length seen; torn = !torn })
+      !desc
 
 (* the chunking parameters are part of the identity of the sweep *)
 let derived_key ~key ~chunk_size ~n =

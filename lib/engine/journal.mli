@@ -1,14 +1,13 @@
 (** Crash-safe progress journal for long evaluation sweeps.
 
     A sweep over [n] items is cut into fixed-size chunks; as each chunk
-    of costs is computed it is appended to a journal file through the
-    same checksummed-line discipline as {!Rcache} (format
-    [mira-journal 2|<key>|<total-chunks>], lines
-    [<sum>|chunk|<index>|<costs>], costs as lossless [%h] hex floats).
-    A run that is killed — power cut, OOM, ^C — leaves at worst one
-    torn line; resuming replays the valid chunks, quarantines anything
-    torn, recomputes only what is missing, and returns results
-    byte-identical to an uninterrupted run.
+    of costs is computed it is appended to a journal file, a {!Dlog} of
+    sealed lines (header [mira-journal 2|<key>|<total-chunks>], payloads
+    [chunk|<index>|<costs>], costs as lossless [%h] hex floats).  A run
+    that is killed — power cut, OOM, ^C — leaves at worst one torn
+    line; resuming replays the valid chunks, quarantines anything torn
+    (healing the file atomically), recomputes only what is missing, and
+    returns results byte-identical to an uninterrupted run.
 
     The [key] names the sweep's inputs (program, configuration,
     sequence list, chunking); a journal written under a different key
@@ -34,8 +33,9 @@ val open_ : path:string -> key:string -> total:int -> t
 (** the chunk's recorded costs, if validly journaled *)
 val find : t -> int -> float array option
 
-(** journal a chunk (checksummed append, flushed); last record wins.
-    Consults the [sweep-torn] fault point (occurrence = chunk index). *)
+(** journal a chunk (checksummed append, flushed; a failed write is
+    counted, not raised); last record wins.  Consults the [sweep-torn]
+    fault point (occurrence = chunk index). *)
 val record : t -> int -> float array -> unit
 
 (** torn/corrupt lines dropped at replay *)

@@ -1,22 +1,17 @@
-(* Append-only persistent result store with a bounded LRU in front.
+(* The result store: a bounded LRU over a durable log of sealed lines
+   (results.log, see Dlog).  Log format v3, header "mira-rescache 3":
+     ok|<key>|<ir>|<cycles>|<code_size>|<c0,c1,...>
+     fail|<key>|<ir>
+   <ir> is the 32-hex digest of the compiled (post-pipeline) IR the
+   measurement came from, which is what lets the engine dedup simulator
+   runs across sequences that converge to identical code.  Legacy v1/v2
+   logs carry no IR digest, so their lines cannot be promoted: every
+   line is quarantined and the log rewritten as an empty v3 store (the
+   entries are re-measured on demand).
 
-   Log format v3 (one record per line, header first):
-     mira-rescache 3
-     <sum>|ok|<key>|<ir>|<cycles>|<code_size>|<c0,c1,...>
-     <sum>|fail|<key>|<ir>
-   <sum> = first 8 hex chars of MD5(payload); <ir> is the 32-hex digest
-   of the compiled (post-pipeline) IR the measurement came from, which
-   is what lets the engine dedup simulator runs across sequences that
-   converge to identical code.  The last line for a key wins, so
-   re-recording is just appending.  Lines that fail the checksum or
-   semantic validation are quarantined (counted, dropped), and the log
-   is then rewritten clean (self-healing).  Legacy v1/v2 logs carry no
-   IR digest, so their lines cannot be promoted: every line is
-   quarantined and the log rewritten as an empty v3 store (the entries
-   are re-measured on demand).
-
-   Injection points consulted here (see Faults): torn-append,
-   flip-append, fail-append, stale-lock, compact-crash. *)
+   Injection points consulted here (see Faults): flip-append,
+   torn-append, fail-append, in that order, on each append; Dlog adds
+   stale-lock and compact-crash. *)
 
 type entry =
   | Measured of {
@@ -27,7 +22,13 @@ type entry =
     }
   | Failure of { ir_digest : string }
 
-exception Cache_error of string
+exception Cache_error = Dlog.Error
+
+type absorb_stats = Dlog.absorb_stats = {
+  absorbed : int;
+  duplicates : int;
+  rejected : int;
+}
 
 (* LRU bookkeeping: every touch pushes (key, stamp) and records the stamp
    as the key's newest; eviction pops until it finds a pair whose stamp is
@@ -38,58 +39,10 @@ type t = {
   mutable stamp : int;
   mutable known : int;
   capacity : int;
-  mutable log : out_channel option;
-  dir : string option;
-  mutable quarantined : int;
-  mutable write_errors : int;
-  mutable stale_locks : int;
+  log : entry Dlog.t option;
 }
 
-let magic = "mira-rescache 3"
-let magic_v2 = "mira-rescache 2"
-let magic_v1 = "mira-rescache 1"
 let default_capacity = 262_144
-
-(* observability: per-instance fields mirrored into the global registry,
-   plus spans around the two structural operations (open, compact) *)
-let m_quarantined = Obs.Metrics.counter "rcache.quarantined"
-let m_write_errors = Obs.Metrics.counter "rcache.write_errors"
-let m_stale_locks = Obs.Metrics.counter "rcache.stale_locks_broken"
-let m_compactions = Obs.Metrics.counter "rcache.compactions"
-let m_absorbed = Obs.Metrics.counter "rcache.absorbed"
-let m_absorb_dups = Obs.Metrics.counter "rcache.absorb_duplicates"
-let m_absorb_rejected = Obs.Metrics.counter "rcache.absorb_rejected"
-
-let note_quarantined t =
-  t.quarantined <- t.quarantined + 1;
-  Obs.Metrics.incr m_quarantined;
-  Obs.Trace.instant ~cat:"rcache" "rcache.quarantine"
-
-let note_write_error t =
-  t.write_errors <- t.write_errors + 1;
-  Obs.Metrics.incr m_write_errors;
-  Obs.Trace.instant ~cat:"rcache" "rcache.write-error"
-
-let note_stale_lock t =
-  t.stale_locks <- t.stale_locks + 1;
-  Obs.Metrics.incr m_stale_locks;
-  Obs.Trace.instant ~cat:"rcache" "rcache.stale-lock-broken"
-
-(* ------------------------------------------------------------------ *)
-(* checksummed lines *)
-
-let checksum payload =
-  String.sub (Digest.to_hex (Digest.string payload)) 0 8
-
-let seal_line payload = checksum payload ^ "|" ^ payload
-
-let unseal_line line =
-  if String.length line >= 9 && line.[8] = '|' then begin
-    let sum = String.sub line 0 8 in
-    let payload = String.sub line 9 (String.length line - 9) in
-    if String.equal sum (checksum payload) then Some payload else None
-  end
-  else None
 
 (* ------------------------------------------------------------------ *)
 (* the LRU front *)
@@ -124,35 +77,27 @@ let entry_to_line key = function
       (String.concat "," (List.map string_of_int (Array.to_list counters)))
   | Failure { ir_digest } -> Printf.sprintf "fail|%s|%s" key ir_digest
 
-(* strictly decimal, so int_of_string cannot be tricked into accepting
-   "0x10", "1_0" or a sign *)
-let dec s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
-
-(* exactly what Digest.to_hex produces: 32 lowercase hex characters *)
-let hex32 s =
-  String.length s = 32
-  && String.for_all
-       (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
-       s
-
+(* Dlog.dec is strictly decimal, so int_of_string cannot be tricked into
+   accepting "0x10", "1_0" or a sign; Dlog.hex 32 is exactly what
+   Digest.to_hex produces *)
 let entry_of_line line =
   let invalid why = Error (Printf.sprintf "%s: %S" why line) in
   match String.split_on_char '|' line with
   | [ "fail"; key; ir ] ->
     if key = "" then invalid "empty key"
-    else if not (hex32 ir) then invalid "malformed IR digest"
+    else if not (Dlog.hex 32 ir) then invalid "malformed IR digest"
     else Ok (key, Failure { ir_digest = ir })
   | [ "ok"; key; ir; cycles; code_size; counters ] ->
     if key = "" then invalid "empty key"
-    else if not (hex32 ir) then invalid "malformed IR digest"
-    else if not (dec cycles && dec code_size) then
+    else if not (Dlog.hex 32 ir) then invalid "malformed IR digest"
+    else if not (Dlog.dec cycles && Dlog.dec code_size) then
       invalid "non-decimal cycles or size"
     else begin
       let fields =
         if counters = "" then []
         else String.split_on_char ',' counters
       in
-      if not (List.for_all dec fields) then invalid "non-decimal counter"
+      if not (List.for_all Dlog.dec fields) then invalid "non-decimal counter"
       else
         match
           ( int_of_string cycles,
@@ -173,109 +118,24 @@ let entry_of_line line =
     end
   | _ -> invalid "malformed log line"
 
-(* ------------------------------------------------------------------ *)
-(* the single-writer advisory lock *)
+let spec =
+  {
+    Dlog.name = "rcache";
+    noun = "result cache";
+    file = "results.log";
+    lock = "cache.lock";
+    magic = "mira-rescache 3";
+    legacy = [ "mira-rescache 1"; "mira-rescache 2" ];
+    blob = false;
+    parse =
+      (fun marker line ->
+        if marker = None then Result.to_option (entry_of_line line) else None);
+    print = entry_to_line;
+  }
 
-let lock_path dir = Filename.concat dir "cache.lock"
-
-let pid_alive pid =
-  if pid <= 0 then false
-  else
-    match Unix.kill pid 0 with
-    | () -> true
-    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-    | exception _ -> true (* EPERM and friends: someone is there *)
-
-let read_small_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        Some (really_input_string ic (min 64 (in_channel_length ic))))
-
-let acquire_lock t dir =
-  let path = lock_path dir in
-  if Faults.fires "stale-lock" then begin
-    (* plant a lock left behind by a dead process *)
-    let oc = open_out path in
-    output_string oc "0";
-    close_out oc
-  end;
-  (match read_small_file path with
-   | None -> ()
-   | Some content ->
-     let owner =
-       if dec (String.trim content) then int_of_string (String.trim content)
-       else -1 (* malformed lock: treat as stale *)
-     in
-     if owner = Unix.getpid () then ()
-     else if pid_alive owner then
-       raise
-         (Cache_error
-            (Printf.sprintf
-               "%s: cache is in use by running process %d (remove the \
-                lock file if that process is gone)"
-               path owner))
-     else begin
-       (try Sys.remove path with Sys_error _ -> ());
-       note_stale_lock t
-     end);
-  let oc = open_out path in
-  output_string oc (string_of_int (Unix.getpid ()));
-  close_out oc
-
-let release_lock dir =
-  let path = lock_path dir in
-  match read_small_file path with
-  | Some content when String.trim content = string_of_int (Unix.getpid ())
-    ->
-    (try Sys.remove path with Sys_error _ -> ())
-  | _ -> ()
+let seal_line = Dlog.seal
 
 (* ------------------------------------------------------------------ *)
-(* writing *)
-
-let flip_one_char s =
-  if s = "" then s
-  else begin
-    let b = Bytes.of_string s in
-    let i = Bytes.length b / 2 in
-    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-    Bytes.to_string b
-  end
-
-let append_line t line =
-  match t.log with
-  | None -> ()
-  | Some oc -> (
-    (* a failed write (disk full, injected) degrades to memory-only for
-       this entry instead of killing the run *)
-    match
-      let line =
-        if Faults.fires "flip-append" then flip_one_char line else line
-      in
-      if Faults.fires "torn-append" then begin
-        (* half the line, no newline: exactly what a crash mid-write
-           leaves behind *)
-        output_string oc (String.sub line 0 (String.length line / 2));
-        flush oc
-      end
-      else if Faults.fires "fail-append" then
-        raise (Faults.Injected "fail-append")
-      else begin
-        output_string oc line;
-        output_char oc '\n';
-        flush oc
-      end
-    with
-    | () -> ()
-    | exception _ -> note_write_error t)
-
-let add t key entry =
-  touch t key entry;
-  append_line t (seal_line (entry_to_line key entry))
 
 let in_memory ?(mem_capacity = default_capacity) () =
   {
@@ -285,294 +145,40 @@ let in_memory ?(mem_capacity = default_capacity) () =
     known = 0;
     capacity = max 1 mem_capacity;
     log = None;
-    dir = None;
-    quarantined = 0;
-    write_errors = 0;
-    stale_locks = 0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* replay and compaction *)
-
-(* stream every valid (key, payload) of [path] in file order; a legacy
-   (v1/v2) header makes every data line invalid by construction, so the
-   stream is empty for those logs *)
-let iter_valid_lines path f =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let legacy =
-        match input_line ic with
-        | h -> h = magic_v1 || h = magic_v2
-        | exception End_of_file -> false
-      in
-      try
-        while true do
-          let line = input_line ic in
-          if (not legacy) && line <> "" then
-            match unseal_line line with
-            | None -> ()
-            | Some payload -> (
-              match entry_of_line payload with
-              | Ok (key, e) -> f key payload e
-              | Error _ -> ())
-        done
-      with End_of_file -> ())
-
-(* Rewrite [path] as a clean v3 log: one line per key, last value wins,
-   corruption scrubbed.  Atomic: temp file + rename. *)
-let rewrite_log path =
-  let order = ref [] in
-  let latest : (string, string) Hashtbl.t = Hashtbl.create 1024 in
-  iter_valid_lines path (fun key payload _e ->
-      if not (Hashtbl.mem latest key) then order := key :: !order;
-      Hashtbl.replace latest key payload);
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out tmp in
-  output_string oc magic;
-  output_char oc '\n';
-  List.iter
-    (fun key ->
-      output_string oc (seal_line (Hashtbl.find latest key));
-      output_char oc '\n')
-    (List.rev !order);
-  close_out oc;
-  if Faults.fires "compact-crash" then begin
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise (Faults.Injected "compact-crash")
-  end;
-  Sys.rename tmp path
-
-let log_file dir = Filename.concat dir "results.log"
-
-let open_append path =
-  open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
-
-let compact t =
-  match (t.dir, t.log) with
-  | Some dir, Some oc ->
-    Obs.Metrics.incr m_compactions;
-    Obs.Trace.with_span ~cat:"rcache" "rcache.compact" (fun () ->
-        let path = log_file dir in
-        (* close before rename so no buffered bytes chase the old inode *)
-        flush oc;
-        close_out_noerr oc;
-        t.log <- None;
-        Fun.protect
-          ~finally:(fun () -> t.log <- Some (open_append path))
-          (fun () -> rewrite_log path))
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* absorbing another cache's log — the merge primitive of distributed
-   sweeps: every worker evaluates into its own cache directory, and the
-   coordinator folds the per-worker logs into the primary store at the
-   end.  Read-only on the donor; checksum + semantic validation per
-   line; last donor line per key wins; keys the recipient already holds
-   are left untouched (results are content-addressed and deterministic,
-   so a collision carries the same measurement).  The absorbed appends
-   are folded into one clean log by the existing atomic compact
-   (temp file + rename), so a crash mid-absorb leaves a valid log. *)
-
-type absorb_stats = { absorbed : int; duplicates : int; rejected : int }
-
-let absorb_raw t donor_dir =
-  let zero = { absorbed = 0; duplicates = 0; rejected = 0 } in
-  if not (Sys.file_exists donor_dir) then zero
-  else if not (Sys.is_directory donor_dir) then
-    raise (Cache_error (donor_dir ^ ": not a directory"))
-  else begin
-    (* refuse a donor a live process is still writing; a lock left by a
-       dead worker (kill -9 mid-shard) is exactly the expected case and
-       does not block the merge *)
-    (match read_small_file (lock_path donor_dir) with
-     | Some content ->
-       let owner =
-         if dec (String.trim content) then int_of_string (String.trim content)
-         else -1
-       in
-       if owner <> Unix.getpid () && pid_alive owner then
-         raise
-           (Cache_error
-              (Printf.sprintf
-                 "%s: donor cache is in use by running process %d"
-                 donor_dir owner))
-     | None -> ());
-    let path = log_file donor_dir in
-    if not (Sys.file_exists path) then zero
-    else begin
-      (* stream the donor log once: checksummed-line + semantic
-         validation, last value per key wins, rejects counted (a legacy
-         v1/v2 donor rejects every line, as open_dir would) *)
-      let rejected = ref 0 in
-      let order = ref [] in
-      let latest : (string, entry) Hashtbl.t = Hashtbl.create 1024 in
-      let ic =
-        try open_in path
-        with Sys_error e -> raise (Cache_error ("cannot open donor log: " ^ e))
-      in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let legacy =
-            match input_line ic with
-            | h when h = magic -> false
-            | h when h = magic_v1 || h = magic_v2 -> true
-            | h ->
-              raise
-                (Cache_error
-                   (Printf.sprintf "%s: not a result cache (bad header %S)"
-                      path h))
-            | exception End_of_file -> false
-          in
-          try
-            while true do
-              let line = input_line ic in
-              if line <> "" then
-                if legacy then incr rejected
-                else
-                  match unseal_line line with
-                  | None -> incr rejected
-                  | Some payload -> (
-                    match entry_of_line payload with
-                    | Ok (key, e) ->
-                      if not (Hashtbl.mem latest key) then
-                        order := key :: !order;
-                      Hashtbl.replace latest key e
-                    | Error _ -> incr rejected)
-            done
-          with End_of_file -> ());
-      let absorbed = ref 0 and duplicates = ref 0 in
-      List.iter
-        (fun key ->
-          if Hashtbl.mem t.tbl key then incr duplicates
-          else begin
-            add t key (Hashtbl.find latest key);
-            incr absorbed
-          end)
-        (List.rev !order);
-      (* fold the absorbed appends into one clean log, atomically *)
-      if !absorbed > 0 then compact t;
-      Obs.Metrics.incr ~by:!absorbed m_absorbed;
-      Obs.Metrics.incr ~by:!duplicates m_absorb_dups;
-      Obs.Metrics.incr ~by:!rejected m_absorb_rejected;
-      { absorbed = !absorbed; duplicates = !duplicates;
-        rejected = !rejected }
-    end
-  end
-
-let absorb t donor_dir =
-  Obs.span_with ~cat:"rcache" "rcache.absorb"
-    ~end_args:(fun s ->
-      [
-        ("absorbed", Obs.Trace.Int s.absorbed);
-        ("duplicates", Obs.Trace.Int s.duplicates);
-        ("rejected", Obs.Trace.Int s.rejected);
-      ])
-    (fun () -> absorb_raw t donor_dir)
-
-let open_dir_raw ?(mem_capacity = default_capacity) dir =
-  if Sys.file_exists dir then begin
-    if not (Sys.is_directory dir) then
-      raise (Cache_error (dir ^ ": not a directory"))
-  end
-  else begin
-    match Sys.mkdir dir 0o755 with
-    | () -> ()
-    | exception Sys_error e ->
-      raise (Cache_error ("cannot create cache directory: " ^ e))
-  end;
-  let t = { (in_memory ~mem_capacity ()) with dir = Some dir } in
-  acquire_lock t dir;
-  match
-    let path = log_file dir in
-    let legacy = ref false in
-    let fresh = not (Sys.file_exists path) in
-    if not fresh then begin
-    let ic =
-      try open_in path
-      with Sys_error e -> raise (Cache_error ("cannot open log: " ^ e))
-    in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        (match input_line ic with
-         | h when h = magic -> ()
-         | h when h = magic_v1 || h = magic_v2 ->
-           (* legacy lines carry no IR digest: nothing survives, every
-              data line is quarantined and the log rewritten fresh *)
-           legacy := true
-         | h
-           when String.length h < String.length magic
-                && (String.starts_with ~prefix:h magic
-                   || String.starts_with ~prefix:h magic_v1) ->
-           (* a header torn by a crash during cache creation *)
-           note_quarantined t
-         | h ->
-           raise
-             (Cache_error
-                (Printf.sprintf "%s: not a result cache (bad header %S)"
-                   path h))
-         | exception End_of_file -> () (* empty file: treat as fresh *));
-        try
-          while true do
-            let line = input_line ic in
-            if line <> "" then
-              if !legacy then note_quarantined t
-              else
-                match unseal_line line with
-                | None -> note_quarantined t
-                | Some payload -> (
-                  match entry_of_line payload with
-                  | Ok (key, e) -> touch t key e
-                  | Error _ -> note_quarantined t)
-          done
-        with End_of_file -> ())
-  end;
-    (* self-heal: a log that quarantined anything — including every line
-       of a legacy v1/v2 log — is scrubbed (also re-terminating any torn
-       tail, so later appends cannot glue onto it); a legacy header is
-       replaced even when its log held no lines *)
-    if (not fresh) && (!legacy || t.quarantined > 0) then
-      rewrite_log path;
-    let oc = open_append path in
-    if
-      fresh
-      || (Unix.fstat (Unix.descr_of_out_channel oc)).Unix.st_size = 0
-    then begin
-      output_string oc magic;
-      output_char oc '\n';
-      flush oc
-    end;
-    t.log <- Some oc
-  with
-  | () -> t
-  | exception e ->
-    (* do not leave the lock behind on a failed open *)
-    release_lock dir;
-    raise e
-
-(* opening is a span: replay of a big log is one of the visible stalls
-   at startup, and the end args say how much was recovered *)
 let open_dir ?mem_capacity dir =
-  Obs.span_with ~cat:"rcache" "rcache.open"
-    ~end_args:(fun t ->
-      [
-        ("entries", Obs.Trace.Int t.known);
-        ("quarantined", Obs.Trace.Int t.quarantined);
-      ])
-    (fun () -> open_dir_raw ?mem_capacity dir)
+  let t = in_memory ?mem_capacity () in
+  let log =
+    Dlog.open_dir spec dir
+      ~load:(fun key e _ -> touch t key e)
+      ~entries:(fun () -> t.known)
+  in
+  { t with log = Some log }
 
+let add t key entry =
+  touch t key entry;
+  match t.log with
+  | None -> ()
+  | Some log ->
+    ignore
+      (Dlog.append log key entry (fun () ->
+           let flip = Faults.fires "flip-append" in
+           let tear = Faults.fires "torn-append" in
+           let fail = (not tear) && Faults.fires "fail-append" in
+           { Dlog.flip; tear; fail }))
+
+let compact t = Option.iter Dlog.compact t.log
+
+let absorb t donor =
+  Dlog.absorb spec ~mem:(Hashtbl.mem t.tbl) ~add:(add t)
+    ~compact:(fun () -> compact t)
+    donor
+
+let of_log f t = match t.log with Some log -> f log | None -> 0
 let resident t = Hashtbl.length t.tbl
 let known t = t.known
-let quarantined t = t.quarantined
-let write_errors t = t.write_errors
-let stale_locks_broken t = t.stale_locks
-
-let close t =
-  (match t.log with
-   | None -> ()
-   | Some oc -> ( try close_out oc with Sys_error _ -> ()));
-  t.log <- None;
-  match t.dir with None -> () | Some dir -> release_lock dir
+let quarantined t = of_log Dlog.quarantined t
+let write_errors t = of_log Dlog.write_errors t
+let stale_locks_broken t = of_log Dlog.stale_locks_broken t
+let close t = Option.iter Dlog.close t.log

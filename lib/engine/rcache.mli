@@ -6,27 +6,15 @@
     the recorded fact that the evaluation failed (trapped / diverged),
     so known-broken sequences are never re-simulated either.
 
-    Persistence is an append-only line-oriented log ([results.log]
-    inside the cache directory), flushed on every write.  Format v3
-    protects every record with a checksum: a line is
-    [<sum>|<payload>] where [<sum>] is the first 8 hex characters of
-    the payload's MD5, and every payload carries the digest of the
-    compiled (post-pipeline) IR the measurement came from — the handle
-    the engine's simulation-dedup layer keys on.  At replay, a line
-    whose checksum or payload does not validate — torn by a crash,
-    bit-flipped by the medium, semantically out of range — is
-    {e quarantined}: counted, dropped, never fatal; the remaining
-    entries survive.  Re-recording a key appends a newer line (last
-    line wins on load).  Whenever replay quarantined anything the log
-    is rewritten in place via {!compact} — the store is self-healing.
-    Legacy v1/v2 logs carry no IR digest, so they cannot be promoted:
-    every line is quarantined and the log rewritten as an empty v3
-    store (entries are re-measured on demand).
-
-    A single-writer advisory lock ([cache.lock], holding the writer's
-    pid) guards the directory: opening a cache locked by a live process
-    raises {!Cache_error}; a lock left by a dead process is broken
-    silently (and counted).
+    Persistence is a {!Dlog} of sealed lines ([results.log], header
+    [mira-rescache 3], lock [cache.lock]), flushed on every write:
+    checksums, quarantine, self-heal, atomic compaction, the lock and
+    {!absorb} are that module's.  Every payload carries the digest of
+    the compiled (post-pipeline) IR the measurement came from — the
+    handle the engine's simulation-dedup layer keys on.  Legacy v1/v2
+    logs carry no IR digest, so they cannot be promoted: every line is
+    quarantined and the log rewritten as an empty v3 store (entries are
+    re-measured on demand).
 
     A bounded LRU sits in front so an arbitrarily large log cannot
     exhaust memory; evicted entries are still on disk and reappear on
@@ -42,10 +30,8 @@ type entry =
   | Failure of { ir_digest : string }
       (** trapped or diverged: cost is infinity, reproducibly *)
 
-(** environmental failures of {!open_dir} — the directory cannot be
-    created or read, the file is not a result cache, or another live
-    process holds the lock.  (Content corruption is never an error: it
-    is quarantined.) *)
+(** environmental failures of {!open_dir} and {!absorb}: the same
+    exception as {!Dlog.Error} *)
 exception Cache_error of string
 
 type t
@@ -62,35 +48,28 @@ val find : t -> string -> entry option
 
 (** Record (and persist) the entry for a key, replacing any older
     value.  A failed disk write (e.g. full disk) is counted in
-    {!write_errors} and the entry kept in memory; it never raises. *)
+    {!write_errors} and the entry kept in memory; it never raises.
+    Consults the [flip-append], [torn-append] and [fail-append] fault
+    points, in that order. *)
 val add : t -> string -> entry -> unit
 
 (** Rewrite the log as one checksummed line per live key (last-wins
-    collapsed, corruption scrubbed) — atomically: the new log is built
-    as a temporary file in the same directory and [rename]d over the
-    old, so a crash mid-compaction leaves the previous log intact. *)
+    collapsed, corruption scrubbed), atomically ({!Dlog.compact}). *)
 val compact : t -> unit
 
-(** what {!absorb} did: new keys imported, keys the recipient already
-    held (left untouched), donor lines failing checksum or semantic
-    validation *)
-type absorb_stats = { absorbed : int; duplicates : int; rejected : int }
+type absorb_stats = Dlog.absorb_stats = {
+  absorbed : int;
+  duplicates : int;
+  rejected : int;
+}
 
 (** [absorb t donor_dir] imports the result log persisted under
     [donor_dir] into [t] — the merge primitive of distributed sweeps,
     where every worker evaluates into its own cache directory and the
     coordinator folds the per-worker logs into the primary store.
-
-    Read-only on the donor (no donor lock is taken, nothing there is
-    modified); every line is checksum- and semantically validated, the
-    last donor line per key wins, and keys already present in [t]'s
-    resident set are skipped (results are content-addressed and
-    deterministic, so a collision carries the same measurement).  After
-    importing anything, [t]'s log is rewritten through the existing
-    atomic {!compact} (temp file + rename), so a crash mid-absorb
-    leaves a valid log.  A missing donor directory or log absorbs
-    nothing; a donor held by a {e live} process raises — a lock left
-    by a dead worker does not block the merge.
+    Keys already in [t]'s resident set are skipped (results are
+    content-addressed and deterministic, so a collision carries the
+    same measurement); see {!Dlog.absorb}.
     @raise Cache_error if the donor is locked by a running process,
     unreadable, or not a result cache *)
 val absorb : t -> string -> absorb_stats
@@ -113,16 +92,12 @@ val stale_locks_broken : t -> int
 (** release the lock and close the log *)
 val close : t -> unit
 
-(** {2 Checksummed-line discipline}
+(** {2 Line payloads}
 
-    Exposed for {!Journal} (which journals sweep progress through the
-    same crash-safe format) and for tests that build corrupt logs. *)
+    Exposed for tests that build logs by hand. *)
 
-(** [seal_line payload] is [<sum>|<payload>] *)
+(** [seal_line payload] is [<sum>|<payload>] ({!Dlog.seal}) *)
 val seal_line : string -> string
-
-(** checksum validation: the payload, or [None] on any mismatch *)
-val unseal_line : string -> string option
 
 (** Parse (and semantically validate) a log-line payload.  Rejects, with
     a reason: unknown shapes (including digest-less v1/v2 lines), empty

@@ -1,317 +1,127 @@
 (* Persistent on-disk trace store: the cross-run / cross-worker tier
-   below Engine.Tcache (see DESIGN.md "Trace store").
+   below Engine.Tcache (see DESIGN.md "Trace store").  A durable log of
+   blobs (store.log, header "mira-tstore 1", see Dlog) keyed by <key32>,
+   the MD5 hex of (compiled-IR digest, fuel) — the identity Tcache keys
+   on, hashed so the marker line needs no quoting.  The payload is
+   Mtrace.encode's varint/delta form, so a trace costs a couple of bytes
+   per event word instead of the in-memory array's eight; memory holds
+   only each payload's offset.
 
-   Log format (binary, header first):
-
-     mira-tstore 1
-     \nTSE1|<sum8>|<key32>|<len>\n<len payload bytes>\n
-     ...
-
-   <sum8> = first 8 hex chars of MD5(payload); <key32> = MD5 hex of
-   (compiled-IR digest, fuel) — same identity Tcache keys on, hashed so
-   the marker line needs no quoting.  The payload is Mtrace.encode's
-   varint/delta form, so a trace costs a couple of bytes per event word
-   instead of the in-memory array's eight.  Each entry starts with its
-   own '\n': a torn payload (crash mid-write) then never glues onto the
-   next entry's marker line, so the scanner resynchronizes at the first
-   intact marker after the tear.
-
-   Crash-safety mirrors Rcache: entries failing frame/checksum
-   validation are quarantined (counted, dropped) and the log rewritten
-   clean (self-heal); compaction is atomic (temp file + rename);
-   a pid lock file rejects concurrent writers and breaks stale locks
-   of dead ones; [absorb] merges a worker's store read-only, last donor
-   entry per key wins, recipient keys untouched.  The last entry for a
-   key wins on replay, so re-recording is just appending.
-
-   Injection points consulted here (see Faults): tstore-write,
-   stale-lock, compact-crash. *)
+   Injection point consulted here (see Faults): tstore-write, on each
+   append; Dlog adds stale-lock and compact-crash. *)
 
 module Mtrace = Mach.Mtrace
 
-exception Store_error of string
+exception Store_error = Dlog.Error
 
-let magic = "mira-tstore 1"
+type absorb_stats = Dlog.absorb_stats = {
+  absorbed : int;
+  duplicates : int;
+  rejected : int;
+}
 
 type loc = { off : int; len : int }
 
 type t = {
-  dir : string;
   index : (string, loc) Hashtbl.t; (* key32 -> payload location *)
-  mutable order : string list; (* first-seen key order, reversed *)
-  mutable log : out_channel option;
-  mutable quarantined : int;
-  mutable write_errors : int;
-  mutable stale_locks : int;
+  log : string Dlog.t;
   mutable hits : int;
   mutable misses : int;
 }
 
-(* ------------------------------------------------------------------ *)
-(* observability *)
-
 let m_hits = Obs.Metrics.counter "tstore.hits"
 let m_misses = Obs.Metrics.counter "tstore.misses"
 let m_adds = Obs.Metrics.counter "tstore.adds"
-let m_quarantined = Obs.Metrics.counter "tstore.quarantined"
-let m_write_errors = Obs.Metrics.counter "tstore.write_errors"
-let m_stale_locks = Obs.Metrics.counter "tstore.stale_locks_broken"
-let m_compactions = Obs.Metrics.counter "tstore.compactions"
-let m_absorbed = Obs.Metrics.counter "tstore.absorbed"
-let m_absorb_dups = Obs.Metrics.counter "tstore.absorb_duplicates"
-let m_absorb_rejected = Obs.Metrics.counter "tstore.absorb_rejected"
 
 let bytes_per_word =
   Obs.Metrics.histogram ~unit_:"B/word" "tstore.bytes_per_word"
 
-let note_quarantined t =
-  t.quarantined <- t.quarantined + 1;
-  Obs.Metrics.incr m_quarantined;
-  Obs.Trace.instant ~cat:"tstore" "tstore.quarantine"
-
-let note_write_error t =
-  t.write_errors <- t.write_errors + 1;
-  Obs.Metrics.incr m_write_errors;
-  Obs.Trace.instant ~cat:"tstore" "tstore.write-error"
-
-let note_stale_lock t =
-  t.stale_locks <- t.stale_locks + 1;
-  Obs.Metrics.incr m_stale_locks;
-  Obs.Trace.instant ~cat:"tstore" "tstore.stale-lock-broken"
-
-(* ------------------------------------------------------------------ *)
-(* keys and entry framing *)
-
-let checksum payload =
-  String.sub (Digest.to_hex (Digest.string payload)) 0 8
-
 let key ~ir_digest ~fuel =
   Digest.to_hex (Digest.string (ir_digest ^ "\x00" ^ string_of_int fuel))
 
-let dec s = s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s
+let spec =
+  {
+    Dlog.name = "tstore";
+    noun = "trace store";
+    file = "store.log";
+    lock = "tstore.lock";
+    magic = "mira-tstore 1";
+    legacy = [];
+    blob = true;
+    parse = (fun marker payload -> Option.map (fun k -> (k, payload)) marker);
+    print = (fun _ payload -> payload);
+  }
 
-let hex n s =
-  String.length s = n
-  && String.for_all
-       (fun c -> (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))
-       s
+let record index k payload off =
+  Hashtbl.replace index k { off; len = String.length payload }
 
-(* "TSE1|<sum8>|<key32>|<len>" *)
-let parse_marker line =
-  match String.split_on_char '|' line with
-  | [ "TSE1"; sum; k; len ] when hex 8 sum && hex 32 k && dec len -> (
-    match int_of_string_opt len with
-    | Some l -> Some (sum, k, l)
-    | None -> None)
-  | _ -> None
+(* a rewrite moves every payload: re-read the offsets from the clean log *)
+let reindex t =
+  Hashtbl.reset t.index;
+  ignore
+    (Dlog.scan spec (Dlog.path t.log) ~bad:ignore
+       ~header:(fun _ -> Dlog.Current)
+       (record t.index))
 
-let marker_line ~sum ~key:k ~len = Printf.sprintf "TSE1|%s|%s|%d\n" sum k len
-
-(* ------------------------------------------------------------------ *)
-(* the single-writer advisory lock (Rcache's protocol, own file) *)
-
-let lock_path dir = Filename.concat dir "tstore.lock"
-
-let pid_alive pid =
-  if pid <= 0 then false
-  else
-    match Unix.kill pid 0 with
-    | () -> true
-    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-    | exception _ -> true (* EPERM and friends: someone is there *)
-
-let read_small_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        Some (really_input_string ic (min 64 (in_channel_length ic))))
-
-let lock_owner path =
-  match read_small_file path with
-  | None -> None
-  | Some content ->
-    let content = String.trim content in
-    Some (if dec content then int_of_string content else -1)
-
-let acquire_lock t dir =
-  let path = lock_path dir in
-  if Faults.fires "stale-lock" then begin
-    let oc = open_out path in
-    output_string oc "0";
-    close_out oc
-  end;
-  (match lock_owner path with
-   | None -> ()
-   | Some owner ->
-     if owner = Unix.getpid () then ()
-     else if pid_alive owner then
-       raise
-         (Store_error
-            (Printf.sprintf
-               "%s: trace store is in use by running process %d (remove \
-                the lock file if that process is gone)"
-               path owner))
-     else begin
-       (try Sys.remove path with Sys_error _ -> ());
-       note_stale_lock t
-     end);
-  let oc = open_out path in
-  output_string oc (string_of_int (Unix.getpid ()));
-  close_out oc
-
-let release_lock dir =
-  let path = lock_path dir in
-  match lock_owner path with
-  | Some owner when owner = Unix.getpid () ->
-    (try Sys.remove path with Sys_error _ -> ())
-  | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* scanning *)
-
-let log_file dir = Filename.concat dir "store.log"
-
-let open_append path =
-  open_out_gen [ Open_append; Open_creat; Open_wronly; Open_binary ] 0o644
-    path
-
-(* Stream every framed entry of [path] in file order:
-   [f key loc payload].  Frame or checksum failures call
-   [bad] once and the scan resynchronizes line by line — each entry's
-   leading '\n' guarantees an intact marker starts a line even after a
-   torn predecessor. *)
-let scan_log path ~on_bad_header ~bad f =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let size = in_channel_length ic in
-      (match input_line ic with
-       | h when h = magic -> ()
-       | h
-         when String.length h < String.length magic
-              && String.starts_with ~prefix:h magic ->
-         (* a header torn by a crash during store creation *)
-         bad ()
-       | h ->
-         on_bad_header h (* caller decides: hard error or ignore *)
-       | exception End_of_file -> ());
-      (* after a bad frame the scan is resynchronizing: the residue of
-         a torn payload parses as so many garbage lines, all part of the
-         one lost entry — count the frame once, skip the residue *)
-      let skipping = ref false in
-      try
-        while true do
-          let line = input_line ic in
-          if line <> "" then
-            match parse_marker line with
-            | Some (sum, k, len) when pos_in ic + len <= size ->
-              let off = pos_in ic in
-              let payload = really_input_string ic len in
-              let term =
-                match input_char ic with
-                | '\n' -> true
-                | _ -> false
-                | exception End_of_file -> false
-              in
-              if term && String.equal (checksum payload) sum then begin
-                skipping := false;
-                f k { off; len } payload
-              end
-              else begin
-                bad ();
-                skipping := true
-              end
-            | Some _ ->
-              (* payload overruns the file: torn tail *)
-              bad ();
-              skipping := true
-            | None ->
-              if not !skipping then begin
-                bad ();
-                skipping := true
-              end
-        done
-      with End_of_file -> ())
+let open_dir dir =
+  let index = Hashtbl.create 64 in
+  let log =
+    Dlog.open_dir spec dir ~load:(record index) ~entries:(fun () ->
+        Hashtbl.length index)
+  in
+  let t = { index; log; hits = 0; misses = 0 } in
+  (* an open that quarantined anything has rewritten the log *)
+  if Dlog.quarantined log > 0 then reindex t;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* reading entries *)
 
 let read_payload t loc =
-  let ic = open_in_bin (log_file t.dir) in
+  let ic = open_in_bin (Dlog.path t.log) in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       seek_in ic loc.off;
       really_input_string ic loc.len)
 
+let miss t =
+  t.misses <- t.misses + 1;
+  Obs.Metrics.incr m_misses;
+  None
+
 let find t ~ir_digest ~fuel =
   let k = key ~ir_digest ~fuel in
   match Hashtbl.find_opt t.index k with
-  | None ->
-    t.misses <- t.misses + 1;
-    Obs.Metrics.incr m_misses;
-    None
-  | Some loc ->
+  | None -> miss t
+  | Some loc -> (
     let corrupt () =
       (* checksum-valid but undecodable (or unreadable): drop it and
          let the caller regenerate; the log heals at the next open *)
       Hashtbl.remove t.index k;
-      note_quarantined t;
-      t.misses <- t.misses + 1;
-      Obs.Metrics.incr m_misses;
-      None
+      Dlog.quarantine t.log;
+      miss t
     in
-    (match Mtrace.decode (read_payload t loc) with
+    match Mtrace.decode (read_payload t loc) with
     | Ok tr ->
       t.hits <- t.hits + 1;
       Obs.Metrics.incr m_hits;
       Some tr
     | Error _ -> corrupt ()
-    | exception Sys_error _ -> corrupt ()
-    | exception End_of_file -> corrupt ())
+    | exception (Sys_error _ | End_of_file) -> corrupt ())
 
 let mem t ~ir_digest ~fuel = Hashtbl.mem t.index (key ~ir_digest ~fuel)
 
 (* ------------------------------------------------------------------ *)
 (* writing *)
 
-let record t k loc =
-  if not (Hashtbl.mem t.index k) then t.order <- k :: t.order;
-  Hashtbl.replace t.index k loc
-
-let append_entry t k payload =
-  match t.log with
-  | None -> ()
-  | Some oc -> (
-    match
-      let len = String.length payload in
-      let header = marker_line ~sum:(checksum payload) ~key:k ~len in
-      let start = out_channel_length oc in
-      if Faults.fires "tstore-write" then begin
-        (* the marker and roughly half the payload, no terminator:
-           exactly what a crash mid-write leaves behind *)
-        output_char oc '\n';
-        output_string oc header;
-        output_substring oc payload 0 (len / 2);
-        flush oc;
-        None
-      end
-      else begin
-        output_char oc '\n';
-        output_string oc header;
-        output_string oc payload;
-        output_char oc '\n';
-        flush oc;
-        Some { off = start + 1 + String.length header; len }
-      end
-    with
-    | Some loc -> record t k loc
-    | None -> () (* torn: the entry is lost; the next open self-heals *)
-    | exception _ -> note_write_error t)
+let append t k payload =
+  match
+    Dlog.append t.log k payload (fun () ->
+        { Dlog.intact with tear = Faults.fires "tstore-write" })
+  with
+  | Some off -> record t.index k payload off
+  | None -> () (* torn or failed: the entry is lost; the next open heals *)
 
 let add t ~ir_digest ~fuel tr =
   let k = key ~ir_digest ~fuel in
@@ -322,247 +132,30 @@ let add t ~ir_digest ~fuel tr =
     Obs.Metrics.observe bytes_per_word
       (float_of_int (String.length payload)
       /. float_of_int (max 1 tr.Mtrace.n));
-    append_entry t k payload
+    append t k payload
   end
-
-(* ------------------------------------------------------------------ *)
-(* compaction *)
-
-(* Rewrite [path] as a clean log: one entry per key, last value wins,
-   corruption scrubbed.  Atomic: temp file + rename. *)
-let rewrite_log path =
-  let order = ref [] in
-  let latest : (string, string) Hashtbl.t = Hashtbl.create 64 in
-  (if Sys.file_exists path then
-     scan_log path
-       ~on_bad_header:(fun _ -> ())
-       ~bad:(fun () -> ())
-       (fun k _loc payload ->
-         if not (Hashtbl.mem latest k) then order := k :: !order;
-         Hashtbl.replace latest k payload));
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
-  let oc = open_out_bin tmp in
-  output_string oc magic;
-  output_char oc '\n';
-  List.iter
-    (fun k ->
-      let payload = Hashtbl.find latest k in
-      output_char oc '\n';
-      output_string oc
-        (marker_line ~sum:(checksum payload) ~key:k
-           ~len:(String.length payload));
-      output_string oc payload;
-      output_char oc '\n')
-    (List.rev !order);
-  close_out oc;
-  if Faults.fires "compact-crash" then begin
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise (Faults.Injected "compact-crash")
-  end;
-  Sys.rename tmp path
-
-(* re-scan a just-rewritten (clean) log to rebuild the offset index *)
-let rebuild_index t =
-  Hashtbl.reset t.index;
-  t.order <- [];
-  let path = log_file t.dir in
-  if Sys.file_exists path then
-    scan_log path
-      ~on_bad_header:(fun _ -> ())
-      ~bad:(fun () -> ())
-      (fun k loc _payload -> record t k loc)
 
 let compact t =
-  match t.log with
-  | None -> ()
-  | Some oc ->
-    Obs.Metrics.incr m_compactions;
-    Obs.Trace.with_span ~cat:"tstore" "tstore.compact" (fun () ->
-        let path = log_file t.dir in
-        (* close before rename so no buffered bytes chase the old inode *)
-        flush oc;
-        close_out_noerr oc;
-        t.log <- None;
-        Fun.protect
-          ~finally:(fun () ->
-            t.log <- Some (open_append path);
-            rebuild_index t)
-          (fun () -> rewrite_log path))
+  Fun.protect ~finally:(fun () -> reindex t) (fun () -> Dlog.compact t.log)
 
-(* ------------------------------------------------------------------ *)
-(* absorbing another store's log — the merge primitive of distributed
-   sweeps, mirroring Rcache.absorb: read-only on the donor, frame +
-   checksum validation per entry, last donor entry per key wins, keys
-   the recipient already holds are left untouched (traces are
-   content-addressed and deterministic).  The absorbed appends are
-   folded into one clean log by the atomic compact. *)
-
-type absorb_stats = { absorbed : int; duplicates : int; rejected : int }
-
-let absorb_raw t donor_dir =
-  let zero = { absorbed = 0; duplicates = 0; rejected = 0 } in
-  if not (Sys.file_exists donor_dir) then zero
-  else if not (Sys.is_directory donor_dir) then
-    raise (Store_error (donor_dir ^ ": not a directory"))
-  else begin
-    (* refuse a donor a live process is still writing; a lock left by a
-       dead worker is the expected case and does not block the merge *)
-    (match lock_owner (lock_path donor_dir) with
-     | Some owner when owner <> Unix.getpid () && pid_alive owner ->
-       raise
-         (Store_error
-            (Printf.sprintf
-               "%s: donor trace store is in use by running process %d"
-               donor_dir owner))
-     | _ -> ());
-    let path = log_file donor_dir in
-    if not (Sys.file_exists path) then zero
-    else begin
-      let rejected = ref 0 in
-      let order = ref [] in
-      let latest : (string, string) Hashtbl.t = Hashtbl.create 64 in
-      (try
-         scan_log path
-           ~on_bad_header:(fun h ->
-             raise
-               (Store_error
-                  (Printf.sprintf "%s: not a trace store (bad header %S)"
-                     path h)))
-           ~bad:(fun () -> incr rejected)
-           (fun k _loc payload ->
-             if not (Hashtbl.mem latest k) then order := k :: !order;
-             Hashtbl.replace latest k payload)
-       with Sys_error e ->
-         raise (Store_error ("cannot open donor log: " ^ e)));
-      let absorbed = ref 0 and duplicates = ref 0 in
-      List.iter
-        (fun k ->
-          if Hashtbl.mem t.index k then incr duplicates
-          else begin
-            append_entry t k (Hashtbl.find latest k);
-            incr absorbed
-          end)
-        (List.rev !order);
-      if !absorbed > 0 then compact t;
-      Obs.Metrics.incr ~by:!absorbed m_absorbed;
-      Obs.Metrics.incr ~by:!duplicates m_absorb_dups;
-      Obs.Metrics.incr ~by:!rejected m_absorb_rejected;
-      { absorbed = !absorbed; duplicates = !duplicates;
-        rejected = !rejected }
-    end
-  end
-
-let absorb t donor_dir =
-  Obs.span_with ~cat:"tstore" "tstore.absorb"
-    ~end_args:(fun s ->
-      [
-        ("absorbed", Obs.Trace.Int s.absorbed);
-        ("duplicates", Obs.Trace.Int s.duplicates);
-        ("rejected", Obs.Trace.Int s.rejected);
-      ])
-    (fun () -> absorb_raw t donor_dir)
-
-(* ------------------------------------------------------------------ *)
-(* opening *)
-
-let open_dir_raw dir =
-  if Sys.file_exists dir then begin
-    if not (Sys.is_directory dir) then
-      raise (Store_error (dir ^ ": not a directory"))
-  end
-  else begin
-    match Sys.mkdir dir 0o755 with
-    | () -> ()
-    | exception Sys_error e ->
-      raise (Store_error ("cannot create trace-store directory: " ^ e))
-  end;
-  let t =
-    {
-      dir;
-      index = Hashtbl.create 64;
-      order = [];
-      log = None;
-      quarantined = 0;
-      write_errors = 0;
-      stale_locks = 0;
-      hits = 0;
-      misses = 0;
-    }
-  in
-  acquire_lock t dir;
-  match
-    let path = log_file dir in
-    let fresh = not (Sys.file_exists path) in
-    if not fresh then begin
-      (try
-         scan_log path
-           ~on_bad_header:(fun h ->
-             raise
-               (Store_error
-                  (Printf.sprintf "%s: not a trace store (bad header %S)"
-                     path h)))
-           ~bad:(fun () -> note_quarantined t)
-           (fun k loc _payload -> record t k loc)
-       with Sys_error e -> raise (Store_error ("cannot open log: " ^ e)));
-      (* self-heal: a log that quarantined anything is scrubbed, also
-         re-terminating any torn tail so later appends cannot glue onto
-         it; the rewrite invalidates offsets, so the index is rebuilt *)
-      if t.quarantined > 0 then begin
-        rewrite_log path;
-        rebuild_index t
-      end
-    end;
-    let oc = open_append path in
-    if
-      fresh
-      || (Unix.fstat (Unix.descr_of_out_channel oc)).Unix.st_size = 0
-    then begin
-      output_string oc magic;
-      output_char oc '\n';
-      flush oc
-    end;
-    t.log <- Some oc
-  with
-  | () -> t
-  | exception e ->
-    (* do not leave the lock behind on a failed open *)
-    release_lock dir;
-    raise e
-
-(* opening replays (checksums) the whole log — one of the visible
-   startup stalls on a warm store, so it is a span *)
-let open_dir dir =
-  Obs.span_with ~cat:"tstore" "tstore.open"
-    ~end_args:(fun t ->
-      [
-        ("entries", Obs.Trace.Int (Hashtbl.length t.index));
-        ("quarantined", Obs.Trace.Int t.quarantined);
-      ])
-    (fun () -> open_dir_raw dir)
+let absorb t donor =
+  Dlog.absorb spec ~mem:(Hashtbl.mem t.index) ~add:(append t)
+    ~compact:(fun () -> compact t)
+    donor
 
 (* ------------------------------------------------------------------ *)
 
 let entries t = Hashtbl.length t.index
-let quarantined t = t.quarantined
-let write_errors t = t.write_errors
-let stale_locks_broken t = t.stale_locks
+let quarantined t = Dlog.quarantined t.log
+let write_errors t = Dlog.write_errors t.log
+let stale_locks_broken t = Dlog.stale_locks_broken t.log
 let hits t = t.hits
 let misses t = t.misses
 
 let bytes_on_disk t =
-  match t.log with
-  | Some oc -> out_channel_length oc
-  | None -> (
-    try (Unix.stat (log_file t.dir)).Unix.st_size with Unix.Unix_error _ -> 0)
+  try (Unix.stat (Dlog.path t.log)).Unix.st_size with Unix.Unix_error _ -> 0
 
 let payload_bytes t =
   Hashtbl.fold (fun _ loc acc -> acc + loc.len) t.index 0
 
-let directory t = t.dir
-
-let close t =
-  (match t.log with
-   | None -> ()
-   | Some oc -> ( try close_out oc with Sys_error _ -> ()));
-  t.log <- None;
-  release_lock t.dir
+let close t = Dlog.close t.log

@@ -1,30 +1,22 @@
 (** Persistent on-disk trace store: the durable tier below {!Tcache}
     (see DESIGN.md "Trace store").
 
-    One append-only checksummed log per directory holds
-    {!Mach.Mtrace.encode}d traces keyed by (compiled-IR digest, fuel) —
-    the same config-free identity {!Tcache} uses — so a warm store lets
-    every later run, and every distributed worker, replay architecture
-    grids without executing program semantics again.
+    A {!Dlog} of blobs ([store.log], header [mira-tstore 1], lock
+    [tstore.lock]) holds {!Mach.Mtrace.encode}d traces keyed by
+    (compiled-IR digest, fuel) — the same config-free identity {!Tcache}
+    uses — so a warm store lets every later run, and every distributed
+    worker, replay architecture grids without executing program
+    semantics again.  Checksums, quarantine, self-heal, atomic
+    compaction, the lock and {!absorb} are {!Dlog}'s.
 
-    Crash-safety mirrors {!Rcache}: per-entry MD5 checksums; torn or
-    corrupt entries are quarantined (counted, dropped) and the log
-    rewritten clean (self-heal); compaction is atomic (temp file +
-    rename); an advisory pid lock rejects concurrent writers and breaks
-    stale locks of dead ones; {!absorb} merges a worker's store
-    read-only, exactly like result caches merge in distributed sweeps.
-
-    Fault-injection points consulted (see {!Faults}): ["tstore-write"]
-    (a torn entry append), ["stale-lock"], ["compact-crash"]. *)
+    Fault-injection point consulted (see {!Faults}): ["tstore-write"]
+    (a torn entry append). *)
 
 type t
 
-(** lock conflicts, unreadable/foreign logs, failed directory creation;
-    callers treat it like {!Rcache.Cache_error} *)
+(** environmental failures: the same exception as {!Dlog.Error} and
+    {!Rcache.Cache_error} *)
 exception Store_error of string
-
-val magic : string
-(** first line of a store log *)
 
 (** Open (creating if needed) the store in [dir], replaying and
     checksum-validating its log.  Quarantines corrupt entries and
@@ -48,15 +40,15 @@ val add : t -> ir_digest:string -> fuel:int -> Mach.Mtrace.t -> unit
     scrubbed *)
 val compact : t -> unit
 
-type absorb_stats = { absorbed : int; duplicates : int; rejected : int }
+type absorb_stats = Dlog.absorb_stats = {
+  absorbed : int;
+  duplicates : int;
+  rejected : int;
+}
 
-(** [absorb t donor_dir] merges the donor store's entries into [t]:
-    read-only on the donor, frame + checksum validation per entry
-    (failures counted as [rejected]), last donor entry per key wins,
-    keys [t] already holds are left untouched ([duplicates]).  A lock
-    left by a dead donor process is broken; a live one raises
-    {!Store_error}.  A missing donor directory or log is an empty
-    merge. *)
+(** [absorb t donor_dir] merges the donor store's entries into [t];
+    keys [t] already holds are left untouched ([duplicates]).  See
+    {!Dlog.absorb}. *)
 val absorb : t -> string -> absorb_stats
 
 val entries : t -> int
@@ -71,8 +63,6 @@ val bytes_on_disk : t -> int
 
 val payload_bytes : t -> int
 (** summed encoded size of the live entries (excludes framing) *)
-
-val directory : t -> string
 
 (** close the log and release the lock (entries already on disk stay) *)
 val close : t -> unit

@@ -484,8 +484,8 @@ let test_rcache_injected_torn_append_roundtrip () =
       Rcache.add c "k3" m1);
   Rcache.close c;
   let c2 = Rcache.open_dir dir in
-  (* the torn k2 line glued onto k3's, costing both: corruption is
-     contained to the damaged region, never spread *)
+  (* only the torn k2 line is lost: k3 starts on a fresh line, so
+     corruption is contained to the damaged entry, never spread *)
   Alcotest.(check int) "glued line quarantined" 1 (Rcache.quarantined c2);
   Alcotest.(check (option entry)) "k1 survives" (Some m1)
     (Rcache.find c2 "k1");
