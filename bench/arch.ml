@@ -150,66 +150,61 @@ let bench_workload n ts (w : Workloads.t) : row * bool =
     !identical )
 
 let write_json ~identical (rows : row list) =
-  let with_store = List.for_all (fun r -> r.store <> None) rows in
-  let oc = open_out json_file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"icc-bench-arch/2\",\n";
-  p "  \"configs\": [%s],\n"
-    (String.concat ", "
-       (List.map
-          (fun c -> Printf.sprintf "%S" c.Mach.Config.name)
-          (Array.to_list configs)));
-  p "  \"reps\": %d,\n" (reps ());
-  p "  \"identical\": %b,\n" identical;
-  p "  \"tstore\": %b,\n" with_store;
-  p "  \"workloads\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      p
-        "    {\"name\": %S, \"base_ms\": %.3f, \"cold_ms\": %.3f, \
-         \"cold_gen_ms\": %.3f, \"cold_replay_ms\": %.3f, \"warm_ms\": \
-         %.3f, \"speedup_cold\": %.2f, \"speedup_warm\": %.2f, \
-         \"trace_words\": %d"
-        r.name r.base_ms r.cold_ms r.cold_gen_ms r.cold_replay_ms r.warm_ms
-        (r.base_ms /. r.cold_ms) (r.base_ms /. r.warm_ms) r.trace_words;
-      (match r.store with
-       | Some s ->
-         p
-           ", \"store_load_ms\": %.3f, \"store_warm_ms\": %.3f, \
-            \"speedup_store\": %.2f, \"trace_bytes\": %d"
-           s.load_ms s.swarm_ms (r.base_ms /. s.swarm_ms) s.bytes
-       | None -> ());
-      p "}%s\n" (if i = n - 1 then "" else ","))
-    rows;
-  p "  ],\n";
+  let stored =
+    List.filter_map (fun r -> Option.map (fun s -> (r, s)) r.store) rows
+  in
+  let with_store = List.length stored = List.length rows in
   let total f = List.fold_left (fun a r -> a +. f r) 0.0 rows in
+  let stored_total f = List.fold_left (fun a (r, s) -> a +. f r s) 0.0 stored in
   let gm f = Util.geomean (List.map f rows) in
-  p "  \"geomean_speedup_cold\": %.2f,\n" (gm (fun r -> r.base_ms /. r.cold_ms));
-  p "  \"geomean_speedup_warm\": %.2f,\n" (gm (fun r -> r.base_ms /. r.warm_ms));
-  if with_store then begin
-    p "  \"geomean_speedup_store\": %.2f,\n"
-      (gm (fun r ->
-           match r.store with
-           | Some s -> r.base_ms /. s.swarm_ms
-           | None -> 1.0));
-    p "  \"bytes_per_word\": %.2f,\n"
-      (total (fun r ->
-           match r.store with
-           | Some s -> float_of_int s.bytes
-           | None -> 0.0)
-       /. total (fun r -> float_of_int r.trace_words));
-    p "  \"total_store_warm_ms\": %.1f,\n"
-      (total (fun r ->
-           match r.store with Some s -> s.swarm_ms | None -> 0.0))
-  end;
-  p "  \"total_base_ms\": %.1f,\n" (total (fun r -> r.base_ms));
-  p "  \"total_cold_ms\": %.1f,\n" (total (fun r -> r.cold_ms));
-  p "  \"total_warm_ms\": %.1f\n" (total (fun r -> r.warm_ms));
-  p "}\n";
-  close_out oc;
-  Fmt.pr "@.[wrote %s]@." json_file
+  let open Obs.Json in
+  let row r =
+    Obj
+      ([ ("name", Str r.name); ("base_ms", fixed 3 r.base_ms);
+         ("cold_ms", fixed 3 r.cold_ms); ("cold_gen_ms", fixed 3 r.cold_gen_ms);
+         ("cold_replay_ms", fixed 3 r.cold_replay_ms);
+         ("warm_ms", fixed 3 r.warm_ms);
+         ("speedup_cold", fixed 2 (r.base_ms /. r.cold_ms));
+         ("speedup_warm", fixed 2 (r.base_ms /. r.warm_ms));
+         ("trace_words", int r.trace_words) ]
+      @
+      match r.store with
+      | Some s ->
+        [ ("store_load_ms", fixed 3 s.load_ms);
+          ("store_warm_ms", fixed 3 s.swarm_ms);
+          ("speedup_store", fixed 2 (r.base_ms /. s.swarm_ms));
+          ("trace_bytes", int s.bytes) ]
+      | None -> [])
+  in
+  Util.write_report json_file
+    (Obj
+       ([ ("schema", Str "icc-bench-arch/2");
+          ( "configs",
+            List
+              (Array.to_list
+                 (Array.map (fun c -> Str c.Mach.Config.name) configs)) );
+          ("reps", int (reps ())); ("identical", Bool identical);
+          ("tstore", Bool with_store); ("workloads", List (List.map row rows));
+          ( "geomean_speedup_cold",
+            fixed 2 (gm (fun r -> r.base_ms /. r.cold_ms)) );
+          ( "geomean_speedup_warm",
+            fixed 2 (gm (fun r -> r.base_ms /. r.warm_ms)) ) ]
+       @ (if with_store then
+            [ ( "geomean_speedup_store",
+                fixed 2
+                  (Util.geomean
+                     (List.map (fun (r, s) -> r.base_ms /. s.swarm_ms) stored))
+              );
+              ( "bytes_per_word",
+                fixed 2
+                  (stored_total (fun _ s -> float_of_int s.bytes)
+                  /. stored_total (fun r _ -> float_of_int r.trace_words)) );
+              ( "total_store_warm_ms",
+                fixed 1 (stored_total (fun _ s -> s.swarm_ms)) ) ]
+          else [])
+       @ [ ("total_base_ms", fixed 1 (total (fun r -> r.base_ms)));
+           ("total_cold_ms", fixed 1 (total (fun r -> r.cold_ms)));
+           ("total_warm_ms", fixed 1 (total (fun r -> r.warm_ms))) ]))
 
 let run () =
   Util.header

@@ -158,39 +158,41 @@ let compare_phase ~tag ~latency target seqs =
 
 let write_json ~n_sim ~sim_serial_s ~sim_runs ~n_meas ~meas_serial_s
     ~meas_runs ~fault_stats ~fault_s =
-  let oc = open_out json_file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"icc-bench-dist/1\",\n";
-  p "  \"target\": \"%s\",\n" target_name;
-  p "  \"arch\": \"%s\",\n" config.Mach.Config.name;
-  p "  \"cores\": %d,\n" (cores ());
-  p "  \"sim_sequences\": %d,\n" n_sim;
-  p "  \"sim_serial_s\": %.3f,\n" sim_serial_s;
-  List.iter
-    (fun (w, wall, _) ->
-      p "  \"sim_workers%d_s\": %.3f,\n" w wall;
-      p "  \"sim_speedup_w%d\": %.2f,\n" w (sim_serial_s /. wall))
-    sim_runs;
-  p "  \"measured_sequences\": %d,\n" n_meas;
-  p "  \"measured_latency_ms\": %.0f,\n" (measured_latency *. 1000.0);
-  p "  \"serial_s\": %.3f,\n" meas_serial_s;
-  List.iter
-    (fun (w, wall, _) ->
-      p "  \"workers%d_s\": %.3f,\n" w wall;
-      p "  \"speedup_w%d\": %.2f,\n" w (meas_serial_s /. wall))
-    meas_runs;
-  p "  \"identical\": true,\n";
+  let open Obs.Json in
+  let runs prefix serial_s =
+    List.concat_map (fun (w, wall, _) ->
+        [
+          (Printf.sprintf "%sworkers%d_s" prefix w, fixed 3 wall);
+          (Printf.sprintf "%sspeedup_w%d" prefix w, fixed 2 (serial_s /. wall));
+        ])
+  in
   let fs : Engine.Dist.stats = fault_stats in
-  p "  \"faulted_workers\": 2,\n";
-  p "  \"faulted_s\": %.3f,\n" fault_s;
-  p "  \"faulted_deaths\": %d,\n" fs.Engine.Dist.worker_deaths;
-  p "  \"faulted_requeues\": %d,\n" fs.Engine.Dist.requeues;
-  p "  \"faulted_respawns\": %d,\n" fs.Engine.Dist.respawns;
-  p "  \"faulted_identical\": true\n";
-  p "}\n";
-  close_out oc;
-  Fmt.pr "@.[wrote %s]@." json_file
+  Util.write_report json_file
+    (Obj
+       ([
+          ("schema", Str "icc-bench-dist/1");
+          ("target", Str target_name);
+          ("arch", Str config.Mach.Config.name);
+          ("cores", int (cores ()));
+          ("sim_sequences", int n_sim);
+          ("sim_serial_s", fixed 3 sim_serial_s);
+        ]
+       @ runs "sim_" sim_serial_s sim_runs
+       @ [
+           ("measured_sequences", int n_meas);
+           ("measured_latency_ms", fixed 0 (measured_latency *. 1000.0));
+           ("serial_s", fixed 3 meas_serial_s);
+         ]
+       @ runs "" meas_serial_s meas_runs
+       @ [
+           ("identical", Bool true);
+           ("faulted_workers", int 2);
+           ("faulted_s", fixed 3 fault_s);
+           ("faulted_deaths", int fs.Engine.Dist.worker_deaths);
+           ("faulted_requeues", int fs.Engine.Dist.requeues);
+           ("faulted_respawns", int fs.Engine.Dist.respawns);
+           ("faulted_identical", Bool true);
+         ]))
 
 let run () =
   Util.header "Distributed sweep: coordinator/worker sharding vs serial";

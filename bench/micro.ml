@@ -93,60 +93,37 @@ let pairs =
     ("sim: adpcm", "sim: adpcm (ref engine)", "sim: adpcm (flat engine)");
   ]
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_file = "BENCH_micro.json"
 
 let write_json (measured : (string * float) list) =
-  let oc = open_out json_file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"icc-bench-micro/1\",\n";
-  p "  \"unit\": \"ns/run\",\n";
-  p "  \"results\": [\n";
-  let n = List.length measured in
-  List.iteri
-    (fun i (name, ns) ->
-      p "    {\"name\": \"%s\", \"ns\": %.1f}%s\n" (json_escape name) ns
-        (if i = n - 1 then "" else ","))
-    measured;
-  p "  ],\n";
-  p "  \"speedups\": [\n";
-  let rows =
+  let open Obs.Json in
+  let speedups =
     List.filter_map
       (fun (label, ref_name, flat_name) ->
         match
           (List.assoc_opt ref_name measured, List.assoc_opt flat_name measured)
         with
-        | Some r, Some f when f > 0.0 -> Some (label, r, f, r /. f)
+        | Some r, Some f when f > 0.0 ->
+          Some
+            (Obj
+               [ ("benchmark", Str label); ("ref_ns", fixed 1 r);
+                 ("flat_ns", fixed 1 f); ("speedup", fixed 2 (r /. f)) ])
         | _ -> None)
       pairs
   in
-  let m = List.length rows in
-  List.iteri
-    (fun i (label, r, f, s) ->
-      p
-        "    {\"benchmark\": \"%s\", \"ref_ns\": %.1f, \"flat_ns\": %.1f, \
-         \"speedup\": %.2f}%s\n"
-        (json_escape label) r f s
-        (if i = m - 1 then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  Fmt.pr "@.[wrote %s]@." json_file
+  Util.write_report json_file
+    (Obj
+       [
+         ("schema", Str "icc-bench-micro/1");
+         ("unit", Str "ns/run");
+         ( "results",
+           List
+             (List.map
+                (fun (name, ns) ->
+                  Obj [ ("name", Str name); ("ns", fixed 1 ns) ])
+                measured) );
+         ("speedups", List speedups);
+       ])
 
 let run () =
   Util.header "Microbenchmarks (bechamel)";

@@ -44,29 +44,28 @@ let write_json ~n ~cold_off ~cold_on ~warm ~identical eng_on =
       Engine.Pctrie.(hits trie, misses trie, evictions trie)
     | None -> (0, 0, 0)
   in
-  let oc = open_out json_file in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"schema\": \"icc-bench-sweep/1\",\n";
-  p "  \"target\": \"%s\",\n" target_name;
-  p "  \"arch\": \"%s\",\n" config.Mach.Config.name;
-  p "  \"jobs\": %d,\n" !Util.jobs;
-  p "  \"sequences\": %d,\n" n;
-  p "  \"cold_no_share_s\": %.3f,\n" cold_off.wall;
-  p "  \"cold_share_s\": %.3f,\n" cold_on.wall;
-  p "  \"warm_share_s\": %.3f,\n" warm.wall;
-  p "  \"speedup_cold\": %.2f,\n" (cold_off.wall /. cold_on.wall);
-  p "  \"speedup_warm\": %.2f,\n" (cold_off.wall /. warm.wall);
-  p "  \"identical\": %b,\n" identical;
-  p "  \"sims_no_share\": %d,\n" cold_off.sims;
-  p "  \"sims_share\": %d,\n" cold_on.sims;
-  p "  \"dedup_hits\": %d,\n" s.Engine.dedup_hits;
-  p "  \"trie_hits\": %d,\n" th;
-  p "  \"trie_misses\": %d,\n" tm;
-  p "  \"trie_evictions\": %d\n" te;
-  p "}\n";
-  close_out oc;
-  Fmt.pr "@.[wrote %s]@." json_file
+  let open Obs.Json in
+  Util.write_report json_file
+    (Obj
+       [
+         ("schema", Str "icc-bench-sweep/1");
+         ("target", Str target_name);
+         ("arch", Str config.Mach.Config.name);
+         ("jobs", int !Util.jobs);
+         ("sequences", int n);
+         ("cold_no_share_s", fixed 3 cold_off.wall);
+         ("cold_share_s", fixed 3 cold_on.wall);
+         ("warm_share_s", fixed 3 warm.wall);
+         ("speedup_cold", fixed 2 (cold_off.wall /. cold_on.wall));
+         ("speedup_warm", fixed 2 (cold_off.wall /. warm.wall));
+         ("identical", Bool identical);
+         ("sims_no_share", int cold_off.sims);
+         ("sims_share", int cold_on.sims);
+         ("dedup_hits", int s.Engine.dedup_hits);
+         ("trie_hits", int th);
+         ("trie_misses", int tm);
+         ("trie_evictions", int te);
+       ])
 
 let run () =
   Util.header

@@ -15,6 +15,11 @@ let jobs = ref 1
    the sweep experiment BENCH_sweep.json *)
 let json_out = ref false
 
+(* write one --json report document and say so *)
+let write_report file doc =
+  Obs.Json.write_file file (Obs.Json.to_doc doc);
+  Fmt.pr "@.[wrote %s]@." file
+
 (* main.ml's --no-share flag: disable the engine's prefix-sharing trie
    and simulation dedup (the differential baseline) *)
 let share = ref true

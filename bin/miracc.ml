@@ -199,6 +199,16 @@ let cache_error_exit = 4
    unusable, worker rejected, protocol breakdown) *)
 let dist_error_exit = 5
 
+(* exit code 6: a knowledge-base file that cannot be read, parsed or
+   written *)
+let kb_error_exit = 6
+
+let kb_io f =
+  try f () with
+  | Knowledge.Kb.Parse_error e | Sys_error e ->
+    Fmt.epr "miracc: knowledge base error: %s@." e;
+    exit kb_error_exit
+
 (* trace-store failures share the cache exit code: same class of error
    (a store directory that cannot be used), same operator remedy *)
 let open_tstore dir =
@@ -461,7 +471,7 @@ let train_cmd =
     let kb =
       Icc.Characterize.build_kb ~engine:eng ~config ~per_program programs
     in
-    Knowledge.Kb.save kb out;
+    kb_io (fun () -> Knowledge.Kb.save kb out);
     Fmt.pr "wrote %s: %d experiments, %d programs@." out (Knowledge.Kb.size kb)
       (List.length (Knowledge.Kb.programs kb));
     finish_engine ~cache_stats eng
@@ -491,7 +501,7 @@ let predict_cmd =
     set_engine engine;
     let p = load_program file in
     let config = arch_of_name arch in
-    let kb = Knowledge.Kb.load kb_path in
+    let kb = kb_io (fun () -> Knowledge.Kb.load kb_path) in
     let compiled =
       if use_counters then
         Icc.Controller.one_shot_counters ~config ~trials kb p
@@ -614,7 +624,7 @@ let search_cmd =
           Fmt.epr "focused search needs --kb@.";
           exit 1
         | Some path ->
-          let kb = Knowledge.Kb.load path in
+          let kb = kb_io (fun () -> Knowledge.Kb.load path) in
           let feats =
             Icc.Features.restrict_to_similarity (Icc.Features.extract p)
           in
@@ -884,8 +894,10 @@ let sweep_status_cmd =
     match Engine.Dist.survey ~dir with
     | Some input -> input
     | None ->
-      Fmt.epr "miracc: no manifest at %s@."
-        (Filename.concat dir "manifest.json");
+      let path = Filename.concat dir "manifest.json" in
+      Fmt.epr "miracc: %s manifest at %s@."
+        (if Sys.file_exists path then "unreadable" else "no")
+        path;
       exit 1
   in
   let totals (input : Obs.Rollup.input) =
@@ -915,22 +927,19 @@ let sweep_status_cmd =
     Buffer.contents b
   in
   let print_human dir (input : Obs.Rollup.input) =
-    (* the manifest's one-line provenance fields, verbatim *)
-    (match read_file (Filename.concat dir "manifest.json") with
-     | s ->
-       String.split_on_char '\n' s
-       |> List.iter (fun line ->
-              let line = String.trim line in
-              let keep =
-                List.exists
-                  (fun k ->
-                    String.length line > String.length k
-                    && String.sub line 0 (String.length k) = k)
-                  [ "\"schema\""; "\"run\""; "\"git_rev\""; "\"git_dirty\"";
-                    "\"job\""; "\"n\""; "\"chunk_size\""; "\"shards\"" ]
-              in
-              if keep then Fmt.pr "%s@." line)
-     | exception Sys_error _ -> ());
+    (* the manifest's provenance fields, spelled as in the file *)
+    let manifest = Filename.concat dir "manifest.json" in
+    (match Obs.Json.(parse (read_file manifest)) with
+     | Obs.Json.Obj members ->
+       List.iter
+         (fun ((k, _) as m) ->
+           if
+             List.mem k
+               [ "schema"; "run"; "git_rev"; "git_dirty"; "job"; "n";
+                 "chunk_size"; "shards" ]
+           then Fmt.pr "%s,@." (Obs.Json.member m))
+         members
+     | _ | (exception (Sys_error _ | Obs.Json.Error _)) -> ());
     List.iter
       (fun (s : Obs.Rollup.shard) ->
         Fmt.pr "shard %d%s: %d/%d chunks%s@." s.shard

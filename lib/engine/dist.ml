@@ -76,12 +76,6 @@ let mint_run spec =
        (Printf.sprintf "run\x00%s\x00%d\x00%.9f\x00%d" spec.job spec.n
           (Unix.gettimeofday ()) (Unix.getpid ())))
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let worker_subdirs dir =
   let wroot = Filename.concat dir "workers" in
   match Sys.readdir wroot with
@@ -439,9 +433,9 @@ let worker_metrics_docs ~dir =
   List.filter_map
     (fun w ->
       let p = Filename.concat (Filename.concat wroot w) "metrics.jsonl" in
-      match read_file p with
+      match Obs.Json.read_file p with
       | text -> Some text
-      | exception _ -> None)
+      | exception Sys_error _ -> None)
     (worker_subdirs dir)
 
 let rollup_of_state ~dir ~t0 (st : state) (plan : Shard.t array) =
@@ -707,12 +701,7 @@ let work ?(name = Printf.sprintf "w%d" (Unix.getpid ())) ?(slot = -1)
      loses at most one shard's worth of counters; atomic via rename so a
      live rollup read never sees a torn file *)
   let write_metrics () =
-    try
-      let tmp = metrics_path ^ ".tmp" in
-      let oc = open_out tmp in
-      output_string oc (Obs.Metrics.to_jsonl ());
-      close_out oc;
-      Sys.rename tmp metrics_path
+    try Obs.Json.write_file metrics_path (Obs.Metrics.to_jsonl ())
     with Sys_error _ -> ()
   in
   let fd = connect socket in
@@ -985,40 +974,29 @@ type manifest = {
   m_plan : Shard.t array;
 }
 
+(* the manifest, refused whole unless it parses whole and maps as many
+   shards as it names: a torn one must never read as a smaller run *)
 let read_manifest ~path =
-  match read_file path with
-  | exception _ -> None
-  | text -> (
-    let str = Obs.Jscan.str_field and num = Obs.Jscan.num_field in
-    match (str text "job", num text "n", num text "chunk_size") with
-    | Some job, Some n, Some cs ->
-      let plan =
-        String.split_on_char '\n' text
-        |> List.filter_map (fun line ->
-               if Obs.Jscan.str_field line "journal_key" = None then None
-               else
-                 match
-                   (num line "id", num line "lo", num line "hi")
-                 with
-                 | Some id, Some lo, Some hi ->
-                   Some
-                     {
-                       Shard.id = int_of_float id;
-                       lo = int_of_float lo;
-                       hi = int_of_float hi;
-                     }
-                 | _ -> None)
-        |> Array.of_list
-      in
-      Some
-        {
-          m_run = Option.value ~default:"" (str text "run");
-          m_job = job;
-          m_n = int_of_float n;
-          m_chunk_size = int_of_float cs;
-          m_plan = plan;
-        }
-    | _ -> None)
+  let open Obs.Json in
+  let manifest m =
+    let shard v =
+      { Shard.id = to_int (field "id" v); lo = to_int (field "lo" v);
+        hi = to_int (field "hi" v) }
+    in
+    let plan = Array.of_list (List.map shard (to_list (field "shard_map" m))) in
+    if Array.length plan <> to_int (field "shards" m) then
+      raise (Error "shard map does not match the shard count");
+    {
+      m_run = (match mem "run" m with Some (Str r) -> r | _ -> "");
+      m_job = to_str (field "job" m);
+      m_n = to_int (field "n" m);
+      m_chunk_size = to_int (field "chunk_size" m);
+      m_plan = plan;
+    }
+  in
+  match manifest (parse (read_file path)) with
+  | m -> Some m
+  | exception (Sys_error _ | Error _) -> None
 
 let survey ~dir =
   match read_manifest ~path:(Filename.concat dir "manifest.json") with
@@ -1031,35 +1009,21 @@ let survey ~dir =
        per-shard grant timings) are not recoverable from journals; lift
        them from the live rollup the coordinator left behind, if any *)
     let rollup =
-      match read_file (Filename.concat dir "rollup.json") with
-      | text -> Some text
-      | exception _ -> None
+      try Obs.Json.(parse (read_file (Filename.concat dir "rollup.json")))
+      with Sys_error _ | Obs.Json.Error _ -> Obs.Json.Null
     in
-    let rint key =
-      match rollup with
-      | Some t -> (
-        match Obs.Jscan.num_field t key with
-        | Some v -> int_of_float v
-        | None -> 0)
-      | None -> 0
+    let lift conv default path =
+      try conv (List.fold_left (fun v k -> Obs.Json.field k v) rollup path)
+      with Obs.Json.Error _ -> default
     in
+    let rint k = lift Obs.Json.to_int 0 [ "coordinator"; k ] in
     let rollup_shards =
-      match rollup with
-      | None -> []
-      | Some t ->
-        String.split_on_char '\n' t
-        |> List.filter_map (fun line ->
-               match
-                 ( Obs.Jscan.num_field line "shard",
-                   Obs.Jscan.num_field line "secs" )
-               with
-               | Some id, Some secs ->
-                 Some
-                   ( int_of_float id,
-                     ( Option.value ~default:""
-                         (Obs.Jscan.str_field line "worker"),
-                       secs ) )
-               | _ -> None)
+      let shard s =
+        Obs.Json.
+          ( to_int (field "shard" s),
+            (to_str (field "worker" s), to_float (field "secs" s)) )
+      in
+      lift (fun v -> List.map shard (Obs.Json.to_list v)) [] [ "shards" ]
     in
     let shards =
       Array.to_list
@@ -1088,11 +1052,7 @@ let survey ~dir =
         job = m.m_job;
         n = m.m_n;
         chunk_size = m.m_chunk_size;
-        elapsed_s =
-          (match rollup with
-           | Some t ->
-             Option.value ~default:0.0 (Obs.Jscan.num_field t "elapsed_s")
-           | None -> 0.0);
+        elapsed_s = lift Obs.Json.to_float 0.0 [ "elapsed_s" ];
         workers_seen = rint "workers_seen";
         shards_served = rint "shards_served";
         steals = rint "steals";

@@ -44,15 +44,14 @@ let m_dedup = Obs.Metrics.counter "engine.dedup_hits"
 let m_failures = Obs.Metrics.counter "engine.failures"
 let eval_ms = Obs.Metrics.histogram "engine.eval_ms"
 
+(* the simulator step budget of every evaluation; part of every key *)
+let fuel = Mach.Sim.default_fuel
+
 type t = {
   config : Mach.Config.t;
   config_digest : string;
   jobs : int;
-  fuel : int;
-  task_timeout : float;
-  retries : int;
   max_respawns : int;
-  respawn_backoff : float;
   cache : Rcache.t;
   trie : Pctrie.t option;  (* None = sharing disabled (--no-share) *)
   tcache : Tcache.t;       (* traces, used when the trace engine is on *)
@@ -60,11 +59,8 @@ type t = {
   pool_health : Pool.health;
 }
 
-let create ?(jobs = 1) ?cache ?(fuel = Mach.Sim.default_fuel)
-    ?(task_timeout = Pool.default_task_timeout) ?(retries = 1)
-    ?(max_respawns = Pool.default_max_respawns)
-    ?(respawn_backoff = Pool.default_respawn_backoff) ?(share = true)
-    ?trie_capacity ?tcache ?tstore config =
+let create ?(jobs = 1) ?cache ?(max_respawns = Pool.default_max_respawns)
+    ?(share = true) ?tcache ?tstore config =
   let cache =
     match cache with Some c -> c | None -> Rcache.in_memory ()
   in
@@ -79,13 +75,9 @@ let create ?(jobs = 1) ?cache ?(fuel = Mach.Sim.default_fuel)
     config;
     config_digest = Mach.Config.digest config;
     jobs = max 1 jobs;
-    fuel;
-    task_timeout;
-    retries;
     max_respawns;
-    respawn_backoff;
     cache;
-    trie = (if share then Some (Pctrie.create ?capacity:trie_capacity ()) else None);
+    trie = (if share then Some (Pctrie.create ()) else None);
     tcache;
     stats =
       { evals = 0; hits = 0; sims = 0; dedup_hits = 0; failures = 0;
@@ -128,7 +120,7 @@ let key_of t ~prog_digest seq =
             prog_digest;
             Pass.sequence_to_string seq;
             t.config_digest;
-            string_of_int t.fuel;
+            string_of_int fuel;
             Pass.version;
           ]))
 
@@ -143,7 +135,7 @@ let sim_key t ~ir_digest =
   Digest.to_hex
     (Digest.string
        (String.concat "\x00"
-          [ "sim"; ir_digest; t.config_digest; string_of_int t.fuel ]))
+          [ "sim"; ir_digest; t.config_digest; string_of_int fuel ]))
 
 (* Run the simulator on already-compiled code.  On the trace engine the
    trace cache sits in front: the config-independent event trace is
@@ -157,8 +149,8 @@ let run_sim t p' ~ir_digest : Rcache.entry =
     match !Mach.Sim.default_engine with
     | Mach.Sim.Trace ->
       let tr =
-        Tcache.find_or_generate t.tcache ~ir_digest ~fuel:t.fuel
-          (fun () -> Mach.Mtrace.generate_program ~fuel:t.fuel p')
+        Tcache.find_or_generate t.tcache ~ir_digest ~fuel
+          (fun () -> Mach.Mtrace.generate_program ~fuel p')
       in
       let r = Mach.Replay.run ~config:t.config tr in
       Rcache.Measured
@@ -169,7 +161,7 @@ let run_sim t p' ~ir_digest : Rcache.entry =
           counters = Array.copy r.Mach.Flatsim.counters;
         }
     | Mach.Sim.Ref | Mach.Sim.Flat ->
-      let r = Mach.Sim.run ~config:t.config ~fuel:t.fuel p' in
+      let r = Mach.Sim.run ~config:t.config ~fuel p' in
       Rcache.Measured
         {
           ir_digest;
@@ -314,9 +306,8 @@ let eval_tasks t (tasks : (Ir.program * Pass.t list) array)
         exactly the serial simulate path *)
      t.stats.sims <- t.stats.sims + nmiss;
      let computed =
-       Pool.map ~jobs:t.jobs ~task_timeout:t.task_timeout
-         ~retries:t.retries ~health:t.pool_health
-         ~max_respawns:t.max_respawns ~respawn_backoff:t.respawn_backoff
+       Pool.map ~jobs:t.jobs ~health:t.pool_health
+         ~max_respawns:t.max_respawns
          (fun i ->
            let p, seq = tasks.(i) in
            simulate t p seq)
@@ -398,9 +389,8 @@ let eval_tasks t (tasks : (Ir.program * Pass.t list) array)
        order;
      let schedule = Array.of_list (List.rev !sched_rev) in
      let computed =
-       Pool.map ~jobs:t.jobs ~task_timeout:t.task_timeout
-         ~retries:t.retries ~health:t.pool_health
-         ~max_respawns:t.max_respawns ~respawn_backoff:t.respawn_backoff
+       Pool.map ~jobs:t.jobs ~health:t.pool_health
+         ~max_respawns:t.max_respawns
          ~schedule
          (fun j ->
            let _, p', d = sim_jobs.(j) in

@@ -83,10 +83,14 @@ type t
 (** [create config] builds an engine for one machine configuration.
     [jobs] bounds the worker pool for batch calls (default 1 = serial);
     [cache] plugs in a result store (default: a fresh in-memory one);
-    [fuel] is the simulator step budget and is part of the cache key.
+    [max_respawns] caps worker respawns per batch before the pool
+    degrades to serial (default {!Pool.default_max_respawns}).
+    Evaluations run on {!Mach.Sim.default_fuel}, which is part of the
+    cache key; the pool keeps {!Pool.map}'s own timeout, retry and
+    backoff defaults.
     [share] (default true) enables the compilation trie and the
-    simulation-dedup layer; [trie_capacity] bounds the trie's LRU of
-    materialized IRs (default {!Pctrie.default_capacity}).
+    simulation-dedup layer; the trie's LRU of materialized IRs holds
+    {!Pctrie.default_capacity} entries.
     [tcache] plugs in a trace cache (default: a fresh one) — engines for
     different configs of the same architecture grid should share one, so
     each program is traced once for the whole grid.  [tstore] attaches a
@@ -96,13 +100,8 @@ type t
 val create :
   ?jobs:int ->
   ?cache:Rcache.t ->
-  ?fuel:int ->
-  ?task_timeout:float ->
-  ?retries:int ->
   ?max_respawns:int ->
-  ?respawn_backoff:float ->
   ?share:bool ->
-  ?trie_capacity:int ->
   ?tcache:Tcache.t ->
   ?tstore:Tstore.t ->
   Mach.Config.t ->

@@ -60,44 +60,25 @@ let git_dirty_digest () =
 (* ------------------------------------------------------------------ *)
 (* the manifest *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_manifest ~path ~run ~job ~n ~chunk_size ~meta plan =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      let p fmt = Printf.fprintf oc fmt in
-      p "{\n";
-      p "  \"schema\": \"icc-dist-manifest/1\",\n";
-      p "  \"run\": \"%s\",\n" (json_escape run);
-      p "  \"git_rev\": \"%s\",\n" (json_escape (git_revision ()));
-      p "  \"git_dirty\": \"%s\",\n" (json_escape (git_dirty_digest ()));
-      p "  \"job\": \"%s\",\n" (json_escape job);
-      p "  \"n\": %d,\n" n;
-      p "  \"chunk_size\": %d,\n" chunk_size;
-      p "  \"shards\": %d,\n" (Array.length plan);
-      List.iter
-        (fun (k, v) -> p "  \"%s\": \"%s\",\n" (json_escape k) (json_escape v))
-        meta;
-      p "  \"shard_map\": [\n";
-      Array.iteri
-        (fun i s ->
-          p "    {\"id\": %d, \"lo\": %d, \"hi\": %d, \"journal_key\": \"%s\"}%s\n"
-            s.id s.lo s.hi (key ~job s)
-            (if i = Array.length plan - 1 then "" else ","))
-        plan;
-      p "  ]\n";
-      p "}\n")
+  let open Obs.Json in
+  let shard s =
+    Obj
+      [ ("id", int s.id); ("lo", int s.lo); ("hi", int s.hi);
+        ("journal_key", Str (key ~job s)) ]
+  in
+  write_file path
+    (to_doc
+       (Obj
+          ([
+             ("schema", Str "icc-dist-manifest/1");
+             ("run", Str run);
+             ("git_rev", Str (git_revision ()));
+             ("git_dirty", Str (git_dirty_digest ()));
+             ("job", Str job);
+             ("n", int n);
+             ("chunk_size", int chunk_size);
+             ("shards", int (Array.length plan));
+           ]
+          @ List.map (fun (k, v) -> (k, Str v)) meta
+          @ [ ("shard_map", List (Array.to_list (Array.map shard plan))) ])))

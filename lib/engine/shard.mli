@@ -40,7 +40,8 @@ val git_dirty_digest : unit -> string
     id every process of the run stamps on its telemetry), git
     provenance, job key, sweep shape, caller metadata (config name,
     sampling seed, ...), and the shard map with per-shard journal
-    keys. *)
+    keys.  The write is atomic ({!Obs.Json.write_file}): a crash leaves
+    the old manifest or the new one, never a torn one. *)
 val write_manifest :
   path:string ->
   run:string ->

@@ -196,7 +196,7 @@ let to_string (t : t) : string =
 
 let of_string (s : string) : t =
   match String.split_on_char '\n' s with
-  | [] -> raise (Parse_error "empty knowledge base")
+  | [] | [ "" ] -> raise (Parse_error "empty knowledge base")
   | header :: rest ->
     if String.trim header <> magic then
       raise (Parse_error ("bad header: " ^ header));

@@ -25,32 +25,40 @@ type stats = {
   mismatched : string list;
 }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 type source = {
   label : string;
   mutable epoch : float option;
   mutable sid : string option; (* run id announced in this file *)
   mutable first_pid : int option;
-  mutable evs : (float * string) list; (* (ts_us, line) in file order, reversed *)
+  mutable evs : (float * Json.t) list; (* (ts_us, event), reversed *)
   mutable torn : int;
 }
 
-(* one event line: strip the separator comma, demand a complete object *)
+(* one line of a stream-sink file: [None] for the array brackets and
+   blank lines, else the event with its timestamp, pid and run
+   announcement (id, epoch); raises [Json.Error] unless the line, less
+   its separator comma, is one whole event *)
 let event_of_line line =
   let line = String.trim line in
+  let n = String.length line in
   let line =
-    let n = String.length line in
     if n > 0 && line.[n - 1] = ',' then String.sub line 0 (n - 1) else line
   in
-  let n = String.length line in
-  if n = 0 || line = "[" || line = "]" then None
-  else if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then Some (Error ())
-  else Some (Ok line)
+  if line = "" || line = "[" || line = "]" then None
+  else
+    let ev = Json.parse line in
+    let arg k = Option.bind (Json.mem "args" ev) (Json.mem k) in
+    let announce =
+      if Json.mem "name" ev = Some (Json.Str "trace.run") then
+        ( Option.map Json.to_str (arg "id"),
+          Option.map Json.to_float (arg "epoch_s") )
+      else (None, None)
+    in
+    Some
+      ( Json.to_float (Json.field "ts" ev),
+        Option.map Json.to_int (Json.mem "pid" ev),
+        announce,
+        ev )
 
 let scan_source label text =
   let s =
@@ -59,59 +67,38 @@ let scan_source label text =
   String.split_on_char '\n' text
   |> List.iter (fun raw ->
          match event_of_line raw with
+         | exception Json.Error _ -> s.torn <- s.torn + 1
          | None -> ()
-         | Some (Error ()) -> s.torn <- s.torn + 1
-         | Some (Ok line) -> (
-           match Jscan.num_field line "ts" with
-           | None -> s.torn <- s.torn + 1
-           | Some ts ->
-             (if s.first_pid = None then
-                match Jscan.num_field line "pid" with
-                | Some p -> s.first_pid <- Some (int_of_float p)
-                | None -> ());
-             (match Jscan.str_field line "name" with
-              | Some "trace.run" ->
-                (* the args come after the fixed header fields, so the
-                   scanner finds "id"/"epoch_s" without parsing args.
-                   The LAST announce wins: a forked child re-announces
-                   whatever id it inherited, then the coordinator's
-                   hello reply installs the authoritative one *)
-                (match Jscan.str_field line "id" with
-                 | Some _ as id -> s.sid <- id
-                 | None -> ());
-                (match Jscan.num_field line "epoch_s" with
-                 | Some _ as e -> s.epoch <- e
-                 | None -> ())
-              | _ -> ());
-             s.evs <- (ts, line) :: s.evs));
+         | Some (ts, pid, (id, epoch), ev) ->
+           if s.first_pid = None then s.first_pid <- pid;
+           (* the LAST announce wins: a forked child re-announces
+              whatever id it inherited, then the coordinator's hello
+              reply installs the authoritative one *)
+           if id <> None then s.sid <- id;
+           if epoch <> None then s.epoch <- epoch;
+           s.evs <- (ts, ev) :: s.evs);
   s.evs <- List.rev s.evs;
   s
 
-(* rewrite the ts field of an event line to [ts] (already in µs) *)
-let with_ts line ts =
-  match Jscan.after_key line "ts" with
-  | None -> line
-  | Some i ->
-    let j = ref i in
-    let n = String.length line in
-    while !j < n && Jscan.is_num_char line.[!j] do
-      incr j
-    done;
-    String.sub line 0 i
-    ^ Printf.sprintf "%.3f" ts
-    ^ String.sub line !j (n - !j)
+(* the event with its ts member set to [ts] (already in µs) *)
+let with_ts ev ts =
+  match ev with
+  | Json.Obj m ->
+    Json.Obj
+      (List.map (fun (k, v) -> (k, if k = "ts" then Json.fixed 3 ts else v)) m)
+  | ev -> ev
 
-let meta_event ~pid ~name ~args_json =
-  Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"meta\",\"ph\":\"M\",\"ts\":0,\"pid\":%d,\
-     \"tid\":0,\"args\":{%s}}"
-    name pid args_json
+let meta_event ~pid ~name args =
+  Json.(
+    Obj
+      [ ("name", Str name); ("cat", Str "meta"); ("ph", Str "M");
+        ("ts", int 0); ("pid", int pid); ("tid", int 0); ("args", Obj args) ])
 
 let merge_files sources out =
   let parsed =
     List.filter_map
       (fun (label, path) ->
-        match read_file path with
+        match Json.read_file path with
         | text -> Some (scan_source label text)
         | exception _ -> None)
       sources
@@ -147,9 +134,9 @@ let merge_files sources out =
     (fun si s ->
       let off = offset s in
       List.iteri
-        (fun li (ts, line) ->
+        (fun li (ts, ev) ->
           let ts' = ts +. off in
-          all := (ts', si, li, with_ts line ts') :: !all)
+          all := (ts', si, li, with_ts ev ts') :: !all)
         s.evs)
     parsed;
   let arr = Array.of_list !all in
@@ -163,9 +150,9 @@ let merge_files sources out =
     arr;
   output_string out "[\n";
   let emitted = ref 0 in
-  let emit line =
+  let emit ev =
     if !emitted > 0 then output_string out ",\n";
-    output_string out line;
+    output_string out (Json.to_line ev);
     incr emitted
   in
   List.iteri
@@ -174,13 +161,12 @@ let merge_files sources out =
       | None -> ()
       | Some pid ->
         emit
-          (meta_event ~pid ~name:"process_name"
-             ~args_json:(Printf.sprintf "\"name\":\"%s\"" s.label));
+          (meta_event ~pid ~name:"process_name" [ ("name", Json.Str s.label) ]);
         emit
           (meta_event ~pid ~name:"process_sort_index"
-             ~args_json:(Printf.sprintf "\"sort_index\":%d" si)))
+             [ ("sort_index", Json.int si) ]))
     parsed;
-  Array.iter (fun (_, _, _, line) -> emit line) arr;
+  Array.iter (fun (_, _, _, ev) -> emit ev) arr;
   output_string out "\n]\n";
   flush out;
   {

@@ -139,9 +139,7 @@ let quantile h q = quantile_of ~counts:h.counts ~n:h.n ~mn:h.mn ~mx:h.mx q
 (* ------------------------------------------------------------------ *)
 (* export *)
 
-let fnum v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
+let fnum = Json.num_text
 
 let hist_cell h =
   Printf.sprintf "n=%d sum=%s min=%s p50=%s p90=%s p99=%s max=%s %s" h.n
@@ -179,70 +177,35 @@ let pp_table ppf () =
       (fun (n, v) -> Format.fprintf ppf "  %-*s  %s@." w n v)
       rows
 
-let jescape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let jfloat v =
-  if Float.is_nan v || Float.abs v = infinity then
-    Printf.sprintf "\"%s\"" (string_of_float v)
-  else fnum v
-
-(* sparse: only non-empty buckets, as [index,count] pairs — the typical
-   histogram hits a handful of its 66 buckets *)
-let buckets_json counts =
-  let b = Buffer.create 64 in
-  Buffer.add_char b '[';
-  let first = ref true in
-  Array.iteri
-    (fun i n ->
-      if n > 0 then begin
-        if not !first then Buffer.add_char b ',';
-        first := false;
-        Buffer.add_string b (Printf.sprintf "[%d,%d]" i n)
-      end)
-    counts;
-  Buffer.add_char b ']';
-  Buffer.contents b
-
-let metric_to_json = function
+let metric_to_json m =
+  let open Json in
+  match m with
   | C c ->
-    Printf.sprintf "{\"type\":\"counter\",\"name\":\"%s\",\"value\":%d}"
-      (jescape c.cname) c.c
+    Obj [ ("type", Str "counter"); ("name", Str c.cname); ("value", int c.c) ]
   | G g ->
-    Printf.sprintf "{\"type\":\"gauge\",\"name\":\"%s\",\"value\":%s}"
-      (jescape g.gname) (jfloat g.g)
+    Obj [ ("type", Str "gauge"); ("name", Str g.gname); ("value", num g.g) ]
   | H h ->
-    Printf.sprintf
-      "{\"type\":\"histogram\",\"name\":\"%s\",\"unit\":\"%s\",\"count\":%d,\
-       \"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s,\
-       \"buckets\":%s}"
-      (jescape h.hname) (jescape h.hunit) h.n (jfloat h.sum) (jfloat h.mn)
-      (jfloat h.mx)
-      (jfloat (quantile h 0.5))
-      (jfloat (quantile h 0.9))
-      (jfloat (quantile h 0.99))
-      (buckets_json h.counts)
+    (* sparse: only non-empty buckets, as [index,count] pairs — the
+       typical histogram hits a handful of its 66 buckets *)
+    let bucket i n = if n > 0 then [ List [ int i; int n ] ] else [] in
+    let buckets = List.concat (List.mapi bucket (Array.to_list h.counts)) in
+    Obj
+      [ ("type", Str "histogram"); ("name", Str h.hname); ("unit", Str h.hunit);
+        ("count", int h.n); ("sum", num h.sum); ("min", num h.mn);
+        ("max", num h.mx); ("p50", num (quantile h 0.5));
+        ("p90", num (quantile h 0.9)); ("p99", num (quantile h 0.99));
+        ("buckets", List buckets) ]
 
-let to_jsonl () =
-  let rows =
-    Hashtbl.fold
-      (fun name m acc ->
-        if interesting m then (name, metric_to_json m) :: acc else acc)
-      registry []
-    |> List.sort compare
-  in
-  String.concat "" (List.map (fun (_, j) -> j ^ "\n") rows)
+(* the interesting metrics of [tbl] as records, sorted by name *)
+let records tbl =
+  Hashtbl.fold
+    (fun name m acc -> if interesting m then (name, m) :: acc else acc)
+    tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map (fun (_, m) -> metric_to_json m)
+
+let jsonl rs = String.concat "" (List.map (fun r -> Json.to_line r ^ "\n") rs)
+let to_jsonl () = jsonl (records registry)
 
 let reset () =
   Hashtbl.iter
@@ -261,118 +224,59 @@ let reset () =
     registry
 
 (* ------------------------------------------------------------------ *)
-(* merging exports from several processes
+(* merging exports from several processes *)
 
-   The input is our own machine-written JSONL (one object per line,
-   fixed key order, no nesting except the buckets array), so the Jscan
-   field scanner is enough — no JSON library needed, which keeps this
-   module dependency-free. *)
+(* one exported record back as a metric; raises [Json.Error] unless the
+   record is complete, so a torn or foreign line is skipped whole *)
+let metric_of_json r =
+  let name = Json.to_str (Json.field "name" r) in
+  let num k = Json.to_float (Json.field k r) in
+  let int k = Json.to_int (Json.field k r) in
+  match Json.to_str (Json.field "type" r) with
+  | "counter" -> C { cname = name; c = int "value" }
+  | "gauge" -> G { gname = name; g = num "value"; gtouched = true }
+  | "histogram" ->
+    let counts = Array.make (n_buckets + 2) 0 in
+    List.iter
+      (fun pair ->
+        match List.map Json.to_int (Json.to_list pair) with
+        | [ i; n ] when i >= 0 && i < Array.length counts ->
+          counts.(i) <- counts.(i) + n
+        | _ -> raise (Json.Error "bad bucket"))
+      (Json.to_list (Json.field "buckets" r));
+    H
+      { hname = name; hunit = Json.to_str (Json.field "unit" r); counts;
+        sum = num "sum"; n = int "count"; mn = num "min"; mx = num "max" }
+  | ty -> raise (Json.Error ("unknown metric type " ^ ty))
 
-let after_key = Jscan.after_key
-let str_at = Jscan.str_at
-let num_at = Jscan.num_at
+let merge_metric tbl m =
+  let name = match m with C c -> c.cname | G g -> g.gname | H h -> h.hname in
+  match (Hashtbl.find_opt tbl name, m) with
+  | None, _ -> Hashtbl.replace tbl name m
+  | Some (C c), C d -> c.c <- c.c + d.c
+  | Some (G g), G d ->
+    (* gauges are levels (queue depth, workers alive): across processes
+       the max is the honest summary; summing would double-count *)
+    if d.g > g.g then g.g <- d.g
+  | Some (H h), H d ->
+    Array.iteri (fun i c -> h.counts.(i) <- h.counts.(i) + c) d.counts;
+    h.sum <- h.sum +. d.sum;
+    h.n <- h.n + d.n;
+    if d.mn < h.mn then h.mn <- d.mn;
+    if d.mx > h.mx then h.mx <- d.mx
+  | Some _, _ -> ()
 
-(* sparse bucket array [[i,n],...] starting at [i] (the opening '[') *)
-let buckets_at line i =
-  let counts = Array.make (n_buckets + 2) 0 in
-  let n = String.length line in
-  let j = ref (i + 1) in
-  let depth = ref 1 in
-  let nums = ref [] in
-  while !depth > 0 && !j < n do
-    match line.[!j] with
-    | '[' ->
-      Stdlib.incr depth;
-      Stdlib.incr j
-    | ']' ->
-      Stdlib.decr depth;
-      Stdlib.incr j
-    | '0' .. '9' ->
-      let k = ref !j in
-      while
-        !k < n && match line.[!k] with '0' .. '9' -> true | _ -> false
-      do
-        Stdlib.incr k
-      done;
-      nums := int_of_string (String.sub line !j (!k - !j)) :: !nums;
-      j := !k
-    | _ -> Stdlib.incr j
-  done;
-  (* [nums] is reversed, so pairs arrive count-first *)
-  let rec fill = function
-    | cnt :: idx :: rest ->
-      if idx >= 0 && idx < Array.length counts then
-        counts.(idx) <- counts.(idx) + cnt;
-      fill rest
-    | _ -> ()
-  in
-  fill !nums;
-  counts
-
-let merge_line tbl line =
-  match (after_key line "type", after_key line "name") with
-  | Some ti, Some ni -> (
-    let ty = str_at line ti and name = str_at line ni in
-    let num key default =
-      match after_key line key with Some i -> num_at line i | None -> default
-    in
-    match ty with
-    | "counter" -> (
-      let v = int_of_float (num "value" 0.0) in
-      match Hashtbl.find_opt tbl name with
-      | Some (C c) -> c.c <- c.c + v
-      | Some _ -> ()
-      | None -> Hashtbl.replace tbl name (C { cname = name; c = v }))
-    | "gauge" -> (
-      (* gauges are levels (queue depth, workers alive): across
-         processes the max is the honest summary; summing would
-         double-count *)
-      let v = num "value" 0.0 in
-      match Hashtbl.find_opt tbl name with
-      | Some (G g) -> if v > g.g then g.g <- v
-      | Some _ -> ()
-      | None ->
-        Hashtbl.replace tbl name (G { gname = name; g = v; gtouched = true }))
-    | "histogram" -> (
-      let unit_ =
-        match after_key line "unit" with Some i -> str_at line i | None -> "ms"
-      in
-      let cnt = int_of_float (num "count" 0.0) in
-      let sum = num "sum" 0.0 in
-      let mn = num "min" infinity in
-      let mx = num "max" neg_infinity in
-      let counts =
-        match after_key line "buckets" with
-        | Some i -> buckets_at line i
-        | None -> Array.make (n_buckets + 2) 0
-      in
-      match Hashtbl.find_opt tbl name with
-      | Some (H h) ->
-        Array.iteri (fun i c -> h.counts.(i) <- h.counts.(i) + c) counts;
-        h.sum <- h.sum +. sum;
-        h.n <- h.n + cnt;
-        if mn < h.mn then h.mn <- mn;
-        if mx > h.mx then h.mx <- mx
-      | Some _ -> ()
-      | None ->
-        Hashtbl.replace tbl name
-          (H { hname = name; hunit = unit_; counts; sum; n = cnt; mn; mx }))
-    | _ -> ())
-  | _ -> ()
-
-let merge_jsonl docs =
+let merge_records docs =
   let tbl : (string, metric) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun doc ->
       String.split_on_char '\n' doc
       |> List.iter (fun line ->
-             let line = String.trim line in
-             if line <> "" then try merge_line tbl line with _ -> ()))
+             if String.trim line <> "" then
+               match metric_of_json (Json.parse line) with
+               | m -> merge_metric tbl m
+               | exception Json.Error _ -> ()))
     docs;
-  Hashtbl.fold
-    (fun name m acc ->
-      if interesting m then (name, metric_to_json m) :: acc else acc)
-    tbl []
-  |> List.sort compare
-  |> List.map (fun (_, j) -> j ^ "\n")
-  |> String.concat ""
+  records tbl
+
+let merge_jsonl docs = jsonl (merge_records docs)

@@ -73,8 +73,12 @@ val to_jsonl : unit -> string
     count/sum/min/max combined exactly and quantiles recomputed from the
     merged buckets.  The merged quantiles obey the same 2× bucket-ratio
     bound as a single registry observing the concatenated samples.
-    Unparseable lines are skipped.  The registry is not touched. *)
+    A line that does not parse whole as one of our records is skipped
+    whole.  The registry is not touched. *)
 val merge_jsonl : string list -> string
+
+(** the records {!merge_jsonl} prints, one per metric, sorted by name *)
+val merge_records : string list -> Json.t list
 
 (** zero every registered metric, keeping handles valid (tests) *)
 val reset : unit -> unit

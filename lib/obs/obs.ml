@@ -1,7 +1,8 @@
 (* Mira.Obs — the unified observability layer: Clock (injectable time
    source), Trace (Chrome trace_event span tracer), Metrics (counter /
-   gauge / histogram registry), and the one combined helper every
-   instrumentation site uses.
+   gauge / histogram registry), Json (the one writer and reader of every
+   JSON document), and the one combined helper every instrumentation
+   site uses.
 
    The design contract is pay-for-use: with tracing disabled and
    [Metrics.timing] off, [span] is two boolean loads and a closure call,
@@ -9,14 +10,11 @@
    benchmarked throughput.  See DESIGN.md "Observability". *)
 
 module Clock = Clock
+module Json = Json
 module Trace = Trace
 module Metrics = Metrics
 module Merge = Merge
 module Rollup = Rollup
-
-(* the field scanner for our machine-written JSON lines; exposed because
-   the engine layer reads the same documents (manifest, rollup) back *)
-module Jscan = Jscan
 
 (* [span ~cat ?hist name f]: a trace span around [f] when tracing is
    enabled, and/or a duration sample (milliseconds) into [hist] when

@@ -32,130 +32,81 @@ type input = {
   metrics_docs : string list;
 }
 
-let fnum v =
-  if Float.is_nan v || Float.abs v = infinity then
-    Printf.sprintf "\"%s\"" (string_of_float v)
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
-
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-(* the value of counter [name] in a (merged) metrics JSONL document *)
-let counter_value jsonl name =
-  String.split_on_char '\n' jsonl
-  |> List.fold_left
-       (fun acc line ->
-         match acc with
-         | Some _ -> acc
-         | None ->
-           if
-             Jscan.str_field line "type" = Some "counter"
-             && Jscan.str_field line "name" = Some name
-           then
-             match Jscan.num_field line "value" with
-             | Some v -> Some (int_of_float v)
-             | None -> None
-           else None)
-       None
+(* the value of counter [name] among merged metric records *)
+let counter_value records name =
+  List.find_map
+    (fun r ->
+      match Json.(mem "type" r, mem "name" r, mem "value" r) with
+      | Some (Json.Str "counter"), Some (Json.Str n), Some v when n = name ->
+        Some (Json.to_int v)
+      | _ -> None)
+    records
+  |> Option.value ~default:0
 
 let to_json (i : input) =
-  let merged = Metrics.merge_jsonl i.metrics_docs in
-  let cnt name = Option.value ~default:0 (counter_value merged name) in
+  let records = Metrics.merge_records i.metrics_docs in
+  let cnt = counter_value records in
   let cache_hits = cnt "engine.cache.hits" in
   let cache_misses = cnt "engine.cache.misses" in
   let dedup_hits = cnt "engine.dedup_hits" in
   let evals = cnt "engine.evals" in
-  let rate num den = if den > 0 then float_of_int num /. float_of_int den else 0.0 in
-  let total = List.fold_left (fun a s -> a + s.chunks_total) 0 i.shards in
-  let done_ = List.fold_left (fun a s -> a + s.chunks_done) 0 i.shards in
-  let torn = List.fold_left (fun a s -> a + s.torn) 0 i.shards in
-  let b = Buffer.create 2048 in
-  let add = Buffer.add_string b in
-  add "{\n";
-  add (Printf.sprintf "  \"schema\": \"icc-rollup/1\",\n");
-  add (Printf.sprintf "  \"run\": %s,\n" (jstr i.run));
-  add (Printf.sprintf "  \"job\": %s,\n" (jstr i.job));
-  add (Printf.sprintf "  \"n\": %d,\n" i.n);
-  add (Printf.sprintf "  \"chunk_size\": %d,\n" i.chunk_size);
-  add (Printf.sprintf "  \"elapsed_s\": %s,\n" (fnum i.elapsed_s));
-  add
-    (Printf.sprintf "  \"chunks\": {\"total\": %d, \"done\": %d, \"torn\": %d},\n"
-       total done_ torn);
-  add
-    (Printf.sprintf "  \"complete\": %b,\n" (total > 0 && done_ = total));
-  add
-    (Printf.sprintf
-       "  \"coordinator\": {\"workers_seen\": %d, \"shards_served\": %d, \
-        \"steals\": %d, \"requeues\": %d, \"worker_deaths\": %d, \
-        \"respawns\": %d, \"serial_fallbacks\": %d, \"absorbed\": %d, \
-        \"absorb_duplicates\": %d, \"absorb_rejected\": %d},\n"
-       i.workers_seen i.shards_served i.steals i.requeues i.worker_deaths
-       i.respawns i.serial_fallbacks i.absorbed i.absorb_duplicates
-       i.absorb_rejected);
-  add
-    (Printf.sprintf
-       "  \"cache\": {\"hits\": %d, \"misses\": %d, \"rate\": %s},\n"
-       cache_hits cache_misses
-       (fnum (rate cache_hits (cache_hits + cache_misses))));
-  add
-    (Printf.sprintf
-       "  \"dedup\": {\"hits\": %d, \"evals\": %d, \"rate\": %s},\n" dedup_hits
-       evals
-       (fnum (rate dedup_hits evals)));
-  add "  \"shards\": [";
-  List.iteri
-    (fun k (s : shard) ->
-      if k > 0 then add ",";
-      add "\n    ";
-      let sps =
-        if s.secs > 0.0 then
-          float_of_int (s.chunks_done * i.chunk_size) /. s.secs
-        else 0.0
-      in
-      add
-        (Printf.sprintf
-           "{\"shard\": %d, \"worker\": %s, \"chunks_total\": %d, \
-            \"chunks_done\": %d, \"torn\": %d, \"secs\": %s, \
-            \"throughput_sps\": %s}"
-           s.shard (jstr s.worker) s.chunks_total s.chunks_done s.torn
-           (fnum s.secs) (fnum sps)))
-    i.shards;
-  add "\n  ],\n";
-  add "  \"metrics\": [";
-  let lines =
-    String.split_on_char '\n' merged
-    |> List.map String.trim
-    |> List.filter (fun l -> l <> "")
+  let rate num den =
+    Json.num (if den > 0 then float_of_int num /. float_of_int den else 0.0)
   in
-  List.iteri
-    (fun k l ->
-      if k > 0 then add ",";
-      add "\n    ";
-      add l)
-    lines;
-  add "\n  ]\n";
-  add "}\n";
-  Buffer.contents b
+  let sum f = List.fold_left (fun a s -> a + f s) 0 i.shards in
+  let total = sum (fun s -> s.chunks_total) in
+  let done_ = sum (fun s -> s.chunks_done) in
+  let shard (s : shard) =
+    let sps =
+      if s.secs > 0.0 then float_of_int (s.chunks_done * i.chunk_size) /. s.secs
+      else 0.0
+    in
+    Json.(
+      Obj
+        [ ("shard", int s.shard); ("worker", Str s.worker);
+          ("chunks_total", int s.chunks_total);
+          ("chunks_done", int s.chunks_done); ("torn", int s.torn);
+          ("secs", num s.secs); ("throughput_sps", num sps) ])
+  in
+  Json.(
+    to_doc
+      (Obj
+         [
+           ("schema", Str "icc-rollup/1");
+           ("run", Str i.run);
+           ("job", Str i.job);
+           ("n", int i.n);
+           ("chunk_size", int i.chunk_size);
+           ("elapsed_s", num i.elapsed_s);
+           ( "chunks",
+             Obj
+               [ ("total", int total); ("done", int done_);
+                 ("torn", int (sum (fun s -> s.torn))) ] );
+           ("complete", Bool (total > 0 && done_ = total));
+           ( "coordinator",
+             Obj
+               [
+                 ("workers_seen", int i.workers_seen);
+                 ("shards_served", int i.shards_served);
+                 ("steals", int i.steals);
+                 ("requeues", int i.requeues);
+                 ("worker_deaths", int i.worker_deaths);
+                 ("respawns", int i.respawns);
+                 ("serial_fallbacks", int i.serial_fallbacks);
+                 ("absorbed", int i.absorbed);
+                 ("absorb_duplicates", int i.absorb_duplicates);
+                 ("absorb_rejected", int i.absorb_rejected);
+               ] );
+           ( "cache",
+             Obj
+               [ ("hits", int cache_hits); ("misses", int cache_misses);
+                 ("rate", rate cache_hits (cache_hits + cache_misses)) ] );
+           ( "dedup",
+             Obj
+               [ ("hits", int dedup_hits); ("evals", int evals);
+                 ("rate", rate dedup_hits evals) ] );
+           ("shards", List (List.map shard i.shards));
+           ("metrics", List records);
+         ]))
 
-let write ~path i =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json i));
-  Sys.rename tmp path
+let write ~path i = Json.write_file path (to_json i)

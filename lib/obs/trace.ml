@@ -87,68 +87,32 @@ let disable () =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let buf_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-let buf_float b v =
-  if Float.is_nan v || Float.abs v = infinity then begin
-    (* JSON has no inf/nan literals; stringify so the document stays valid *)
-    Buffer.add_char b '"';
-    Buffer.add_string b (string_of_float v);
-    Buffer.add_char b '"'
-  end
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Buffer.add_string b (Printf.sprintf "%.0f" v)
-  else Buffer.add_string b (Printf.sprintf "%.6g" v)
-
-let buf_arg b = function
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f -> buf_float b f
-  | Bool x -> Buffer.add_string b (if x then "true" else "false")
-  | Str s ->
-    Buffer.add_char b '"';
-    buf_escape b s;
-    Buffer.add_char b '"'
+let json_of_arg : arg -> Json.t = function
+  | Int i -> Json.int i
+  | Float f -> Json.num f
+  | Bool x -> Json.Bool x
+  | Str s -> Json.Str s
 
 let phase_letter = function B -> "B" | E -> "E" | I -> "i" | C -> "C"
 
 let event_to_json (e : event) : string =
-  let b = Buffer.create 128 in
-  Buffer.add_string b "{\"name\":\"";
-  buf_escape b e.name;
-  Buffer.add_string b "\",\"cat\":\"";
-  buf_escape b (if e.cat = "" then "mira" else e.cat);
-  Buffer.add_string b "\",\"ph\":\"";
-  Buffer.add_string b (phase_letter e.ph);
-  Buffer.add_string b "\",\"ts\":";
-  Buffer.add_string b (Printf.sprintf "%.3f" (e.ts *. 1e6));
-  Buffer.add_string b ",\"pid\":";
-  Buffer.add_string b (string_of_int e.pid);
-  Buffer.add_string b ",\"tid\":0";
-  (match e.args with
-   | [] -> ()
-   | args ->
-     Buffer.add_string b ",\"args\":{";
-     List.iteri
-       (fun i (k, v) ->
-         if i > 0 then Buffer.add_char b ',';
-         Buffer.add_char b '"';
-         buf_escape b k;
-         Buffer.add_string b "\":";
-         buf_arg b v)
-       args;
-     Buffer.add_char b '}');
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let args =
+    match e.args with
+    | [] -> []
+    | args ->
+      [ ("args", Json.Obj (List.map (fun (k, v) -> (k, json_of_arg v)) args)) ]
+  in
+  Json.to_line
+    (Json.Obj
+       ([
+          ("name", Json.Str e.name);
+          ("cat", Json.Str (if e.cat = "" then "mira" else e.cat));
+          ("ph", Json.Str (phase_letter e.ph));
+          ("ts", Json.fixed 3 (e.ts *. 1e6));
+          ("pid", Json.int e.pid);
+          ("tid", Json.int 0);
+        ]
+       @ args))
 
 (* ------------------------------------------------------------------ *)
 (* emitting *)
@@ -274,15 +238,7 @@ let stream_after_fork ~pid:p oc =
 (* export *)
 
 let to_json () =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b (event_to_json e))
-    (events ());
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b
+  "[\n" ^ String.concat ",\n" (List.map event_to_json (events ())) ^ "\n]\n"
 
 let finish () =
   match !sink with

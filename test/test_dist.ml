@@ -155,6 +155,38 @@ let test_manifest_contents () =
       "shard_map"; "journal_key"; "\"shards\": 4"; "\"chunk_size\": 3";
     ]
 
+(* a torn manifest never reads as a smaller run: every prefix of a real
+   manifest that loses content is refused whole *)
+let test_torn_manifest_refused () =
+  with_tmp_dir "dist-torn-manifest" @@ fun dir ->
+  let _ = sweep ~dir ~workers:2 ~shards:8 ~chunk_size:5 ~n:40 () in
+  let path = Filename.concat dir "manifest.json" in
+  let ic = open_in_bin path in
+  let text =
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let shards () =
+    Option.map (fun i -> List.length i.Obs.Rollup.shards) (Dist.survey ~dir)
+  in
+  Alcotest.(check (option int)) "intact manifest: all 8 shards" (Some 8)
+    (shards ());
+  close_out (open_out_bin path);
+  for k = 0 to String.length text - 1 do
+    let prefix = String.sub text 0 k in
+    (* growing the file in place, without truncating it each time,
+       keeps the loop fast on disks that discard freed blocks *)
+    let oc = open_out_gen [ Open_wronly; Open_binary ] 0o644 path in
+    output_string oc prefix;
+    close_out oc;
+    if String.trim prefix <> String.trim text then
+      match shards () with
+      | None -> ()
+      | Some n ->
+        Alcotest.failf "manifest cut at byte %d read as a run of %d shards" k n
+  done
+
 (* ------------------------------------------------------------------ *)
 (* worker killed mid-shard: requeue, respawn, journal resume *)
 
@@ -223,10 +255,10 @@ let test_killed_sweep_telemetry () =
   Alcotest.(check bool) "a run id was minted" true (stats.Dist.run_id <> "");
   (* the coordinator's final rollup reconciles with the journals: for
      each shard, progress is the best journal any worker holds for it *)
-  let rollup = read_file (Filename.concat dir "rollup.json") in
+  let rollup = Obs.Json.parse (read_file (Filename.concat dir "rollup.json")) in
   let jnum key =
-    match Obs.Jscan.num_field rollup key with
-    | Some v -> int_of_float v
+    match Obs.Json.(mem key (field "chunks" rollup)) with
+    | Some v -> Obs.Json.to_int v
     | None -> Alcotest.failf "rollup.json lacks %S" key
   in
   let by_shard = Hashtbl.create 8 in
@@ -261,10 +293,11 @@ let test_killed_sweep_telemetry () =
     (jnum "total");
   Alcotest.(check bool) "run completed in the rollup" true
     (jnum "done" = jnum "total");
-  (match Obs.Jscan.str_field rollup "run" with
-   | Some r -> Alcotest.(check string) "rollup carries the run id"
+  (match Obs.Json.mem "run" rollup with
+   | Some (Obs.Json.Str r) ->
+     Alcotest.(check string) "rollup carries the run id"
                  stats.Dist.run_id r
-   | None -> Alcotest.fail "rollup.json lacks the run id");
+   | _ -> Alcotest.fail "rollup.json lacks the run id");
   (* the cold survey agrees with the file the coordinator wrote *)
   (match Dist.survey ~dir with
    | Some input ->
@@ -303,12 +336,11 @@ let test_killed_sweep_telemetry () =
   (* span nesting per pid never goes negative: no orphan span ends, even
      with the victim's truncated file in the mix *)
   let depth = Hashtbl.create 4 in
-  String.split_on_char '\n' merged
-  |> List.iter (fun line ->
-         match (Obs.Jscan.str_field line "ph", Obs.Jscan.num_field line "pid")
-         with
-         | Some ph, Some pid ->
-           let pid = int_of_float pid in
+  fst (Obs.Json.parse_trace merged)
+  |> List.iter (fun ev ->
+         match Obs.Json.(mem "ph" ev, mem "pid" ev) with
+         | Some (Obs.Json.Str ph), Some pid ->
+           let pid = Obs.Json.to_int pid in
            let d =
              match Hashtbl.find_opt depth pid with
              | Some r -> r
@@ -578,6 +610,8 @@ let () =
           Alcotest.test_case "local = serial, fuzzed shapes" `Quick
             test_local_matches_serial_fuzzed;
           Alcotest.test_case "manifest contents" `Quick test_manifest_contents;
+          Alcotest.test_case "torn manifest refused" `Quick
+            test_torn_manifest_refused;
           Alcotest.test_case "killed worker resumes from journal" `Quick
             test_worker_killed_resumes_from_journal;
           Alcotest.test_case "killed sweep: mergeable trace + rollup" `Quick

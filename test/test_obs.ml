@@ -3,6 +3,9 @@
      interpolated quantiles);
    - span nesting, unbalanced-end handling, cross-process forwarding;
    - byte-deterministic trace JSON and metrics table under a fake clock;
+   - Obs.Json: the number and string spellings, the document layout,
+     byte-exact round trips of every writer's output, strict parsing
+     (no strict prefix of a document parses) and truncated trace arrays;
    - a sweep killed mid-run (injected kill -9, real fork) leaves a
      loadable partial trace: the streaming sink's crash-safety claim. *)
 
@@ -141,7 +144,24 @@ let test_merge_kinds () =
     (Metrics.merge_jsonl [ doc_a; doc_b ]);
   (* torn / foreign lines are skipped, not fatal *)
   Alcotest.(check string) "garbage lines are skipped" doc_a
-    (Metrics.merge_jsonl [ "not json\n" ^ doc_a; "{\"type\":\"count" ])
+    (Metrics.merge_jsonl [ "not json\n" ^ doc_a; "{\"type\":\"count" ]);
+  (* ... and skipped whole: no strict prefix of a real counter or
+     histogram record merges as a number *)
+  let doc_t =
+    export (fun () ->
+        Metrics.incr ~by:24 (Metrics.counter "t.mk.torn_c");
+        List.iter
+          (Metrics.observe (Metrics.histogram "t.mk.torn_h"))
+          [ 1.0; 3.0; 3.5; 40.0; 4096.0 ])
+  in
+  Metrics.reset ();
+  String.split_on_char '\n' doc_t
+  |> List.iter (fun line ->
+         for k = 0 to String.length line - 1 do
+           let p = String.sub line 0 k in
+           if Metrics.merge_jsonl [ doc_a; p ] <> doc_a then
+             Alcotest.failf "torn line %S was merged" p
+         done)
 
 (* merged quantiles obey the same 2x bucket-ratio bound as a single
    registry over the concatenated samples *)
@@ -168,8 +188,8 @@ let test_merge_quantile_bound () =
   List.iter
     (fun (label, q) ->
       let v =
-        match Obs.Jscan.num_field merged label with
-        | Some v -> v
+        match Obs.Json.(mem label (parse merged)) with
+        | Some v -> Obs.Json.to_float v
         | None -> Alcotest.failf "merged export lacks %s" label
       in
       let t = truth q in
@@ -286,6 +306,176 @@ let test_ring_drops_oldest () =
   Trace.disable ()
 
 (* ------------------------------------------------------------------ *)
+(* Json *)
+
+module Json = Obs.Json
+
+(* what a writer printed parses back to a value that prints the same
+   bytes, and no strict prefix of it (less its final newline) parses *)
+let check_round_trip ~print label text =
+  Alcotest.(check string) (label ^ ": round trip") text
+    (print (Json.parse text));
+  let body = String.trim text in
+  for k = 0 to String.length body - 1 do
+    match Json.parse (String.sub body 0 k) with
+    | _ -> Alcotest.failf "%s: the first %d bytes parsed" label k
+    | exception Json.Error _ -> ()
+  done
+
+let test_json_spelling () =
+  let line v = Json.to_line v in
+  Alcotest.(check (list string)) "one float spelling"
+    [ "3"; "-0.25"; "0.1"; "1e+15"; "1.23457e-07"; "\"nan\""; "\"inf\"";
+      "\"-inf\""; "1.500"; "2"; "\"inf\"" ]
+    (List.map line
+       [ Json.num 3.0; Json.num (-0.25); Json.num 0.1; Json.num 1e15;
+         Json.num 1.234567e-7; Json.num Float.nan; Json.num Float.infinity;
+         Json.num Float.neg_infinity; Json.fixed 3 1.5; Json.fixed 0 2.0;
+         Json.fixed 2 Float.infinity ]);
+  Alcotest.(check string) "one string escaper" {|"q\"b\\s\nt\u0009c\u0001é"|}
+    (line (Json.Str "q\"b\\s\nt\tc\001é"));
+  Alcotest.(check string) "compact line" {|{"a":[1,{"b":null}],"c":false}|}
+    (line
+       Json.(
+         Obj [ ("a", List [ int 1; Obj [ ("b", Null) ] ]); ("c", Bool false) ]))
+
+let test_json_doc_layout () =
+  Alcotest.(check string) "to_doc layout"
+    "{\n\
+    \  \"name\": \"x\",\n\
+    \  \"shape\": {\"w\": 2, \"tags\": [\"a\", \"b\"]},\n\
+    \  \"sizes\": [1, 2.50, -3],\n\
+    \  \"rows\": [\n\
+    \    {\"id\": 0, \"ok\": true},\n\
+    \    {\"id\": 1, \"ok\": null}\n\
+    \  ],\n\
+    \  \"none\": [\n\
+    \  ]\n\
+     }\n"
+    Json.(
+      to_doc
+        (Obj
+           [
+             ("name", Str "x");
+             ( "shape",
+               Obj [ ("w", int 2); ("tags", List [ Str "a"; Str "b" ]) ] );
+             ("sizes", List [ int 1; fixed 2 2.5; int (-3) ]);
+             ( "rows",
+               List
+                 [ Obj [ ("id", int 0); ("ok", Bool true) ];
+                   Obj [ ("id", int 1); ("ok", Null) ] ] );
+             ("none", List []);
+           ]))
+
+let nasty = "q\"b\\s\nt\tc\001"
+
+let test_json_round_trips () =
+  check_round_trip ~print:Json.to_line "trace event"
+    (Trace.event_to_json
+       {
+         Trace.ph = Trace.I;
+         name = nasty;
+         cat = "t";
+         ts = 0.0123456;
+         pid = 3;
+         args =
+           [ (nasty, Trace.Str nasty); ("i", Trace.Int (-4));
+             ("f", Trace.Float 2.5); ("g", Trace.Float 1e20);
+             ("nan", Trace.Float Float.nan); ("b", Trace.Bool true) ];
+       });
+  Metrics.reset ();
+  Metrics.incr ~by:24 (Metrics.counter "t.json.c");
+  Metrics.set (Metrics.gauge "t.json.nan") Float.nan;
+  List.iter (Metrics.observe (Metrics.histogram "t.json.h")) [ 0.25; 3.0; 1e9 ];
+  let export = Metrics.to_jsonl () in
+  Metrics.reset ();
+  (* an empty histogram, as the writer spells one *)
+  let empty_h =
+    {|{"type":"histogram","name":"t.json.empty","unit":"ms","count":0,"sum":0,"min":"inf","max":"-inf","p50":"nan","p90":"nan","p99":"nan","buckets":[]}|}
+  in
+  List.iter
+    (fun l ->
+      if l <> "" then check_round_trip ~print:Json.to_line "metric line" l)
+    (empty_h :: String.split_on_char '\n' export);
+  let path = Filename.temp_file "obs-json" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.iter
+        (fun n ->
+          Engine.Shard.write_manifest ~path ~run:nasty ~job:"j" ~n
+            ~chunk_size:3 ~meta:[ ("program", "a b.mira") ]
+            (Engine.Shard.plan ~n ~shards:4);
+          check_round_trip ~print:Json.to_doc "manifest" (Json.read_file path))
+        [ 10; 0 ]);
+  check_round_trip ~print:Json.to_doc "rollup"
+    (Obs.Rollup.to_json
+       {
+         Obs.Rollup.run = "r";
+         job = nasty;
+         n = 10;
+         chunk_size = 3;
+         elapsed_s = 1.5;
+         workers_seen = 2;
+         shards_served = 4;
+         steals = 1;
+         requeues = 0;
+         worker_deaths = 0;
+         respawns = 0;
+         serial_fallbacks = 0;
+         absorbed = 7;
+         absorb_duplicates = 0;
+         absorb_rejected = 0;
+         shards =
+           [ { Obs.Rollup.shard = 0; worker = "w0"; chunks_total = 2;
+               chunks_done = 1; torn = 1; secs = 0.125 } ];
+         metrics_docs = [ export; empty_h ];
+       });
+  check_round_trip ~print:Json.to_doc "bench report"
+    {|{
+  "schema": "icc-bench-arch/2",
+  "configs": ["amd-like", "c6713-like", "embedded"],
+  "reps": 5,
+  "identical": true,
+  "workloads": [
+    {"name": "adpcm", "base_ms": 22.441, "speedup_cold": 1.10, "trace_words": 362260},
+    {"name": "fir", "base_ms": 46.954, "speedup_cold": 0.80, "trace_words": 1253143}
+  ],
+  "speedups": [
+  ],
+  "total_base_ms": 746.9
+}
+|}
+
+let test_json_parse_strict () =
+  let refused s =
+    match Json.parse s with
+    | _ -> Alcotest.failf "%S parsed" s
+    | exception Json.Error _ -> ()
+  in
+  List.iter refused
+    [ ""; "{} {}"; "[1,]"; "{\"a\":1,}"; "01"; "1."; "+1"; ".5"; "nan";
+      "\"a\tb\""; "\"\\x\""; "\"\\ud800\""; "{\"a\" 1}"; "tru" ];
+  Alcotest.(check string) "\\u escapes decode to UTF-8"
+    "\xc3\xa9\xf0\x9f\x98\x80/\b"
+    (Json.to_str (Json.parse {|"\u00e9\ud83d\ude00\/\b"|}))
+
+let test_json_parse_trace () =
+  let ev = {|{"name":"a","ph":"i","ts":1.000,"pid":1,"tid":0}|} in
+  let check label text (n, truncated) =
+    let evs, t = Json.parse_trace text in
+    Alcotest.(check (pair int bool)) label (n, truncated) (List.length evs, t)
+  in
+  check "closed array" ("[\n" ^ ev ^ ",\n" ^ ev ^ "\n]\n") (2, false);
+  check "empty array" "[]" (0, false);
+  check "missing ]" ("[\n" ^ ev ^ ",\n" ^ ev) (2, true);
+  check "missing ] after a comma" ("[\n" ^ ev ^ ",\n") (1, true);
+  check "only the opening [" "[\n" (0, true);
+  match Json.parse_trace ("[\n" ^ ev ^ ",\n" ^ String.sub ev 0 20) with
+  | _ -> Alcotest.fail "a torn last event parsed"
+  | exception Json.Error _ -> ()
+
+(* ------------------------------------------------------------------ *)
 (* crash safety: the streaming sink under an injected mid-sweep kill *)
 
 let substr_count hay needle =
@@ -382,6 +572,16 @@ let () =
             test_json_deterministic;
           Alcotest.test_case "ring drops oldest" `Quick
             test_ring_drops_oldest;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "number and string spelling" `Quick
+            test_json_spelling;
+          Alcotest.test_case "document layout" `Quick test_json_doc_layout;
+          Alcotest.test_case "writers round-trip byte for byte" `Quick
+            test_json_round_trips;
+          Alcotest.test_case "strict parse" `Quick test_json_parse_strict;
+          Alcotest.test_case "trace arrays" `Quick test_json_parse_trace;
         ] );
       ( "crash safety",
         [

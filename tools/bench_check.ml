@@ -37,25 +37,32 @@
    Exit 0 all rules hold, 1 regressions, 2 usage/parse/shape trouble.
    --json prints a machine-readable verdict (icc-bench-verdict/1). *)
 
+module Json = Obs.Json
+
+(* [base]/[fresh] are [None] when the field is absent *)
 type outcome = {
   path : string;
   rule : string;
-  base : string;
-  fresh : string;
+  base : Json.t option;
+  fresh : Json.t option;
 }
 
 let shape_error = ref false
 
-let jstr = function
-  | Tjson.Str s -> Printf.sprintf "%S" s
-  | Tjson.Num n ->
-    if Float.is_integer n && Float.abs n < 1e15 then
-      Printf.sprintf "%d" (int_of_float n)
-    else Printf.sprintf "%g" n
-  | Tjson.Bool b -> string_of_bool b
-  | Tjson.Null -> "null"
-  | Tjson.List _ -> "[...]"
-  | Tjson.Obj _ -> "{...}"
+(* a compared value as the verdict reports it: numbers in the shared
+   spelling, containers elided *)
+let shown = function
+  | None -> Json.Str "(absent)"
+  | Some (Json.Num _ as n) -> Json.num (Json.to_float n)
+  | Some (Json.List _) -> Json.Str "[...]"
+  | Some (Json.Obj _) -> Json.Str "{...}"
+  | Some v -> v
+
+(* ... and in the text report, where only real strings are quoted *)
+let text v =
+  match (v, shown v) with
+  | (None | Some (Json.List _ | Json.Obj _)), Json.Str s -> s
+  | _, shown -> Json.to_line shown
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -82,37 +89,38 @@ let schema_family s =
 
 (* same family, different version: comparing across one schema bump *)
 let cross_version base fresh =
-  match (Tjson.mem "schema" base, Tjson.mem "schema" fresh) with
-  | Some (Tjson.Str b), Some (Tjson.Str f) ->
+  match (Json.mem "schema" base, Json.mem "schema" fresh) with
+  | Some (Json.Str b), Some (Json.Str f) ->
     let bf, bv = schema_family b and ff, fv = schema_family f in
     bf = ff && bv <> fv
   | _ -> false
 
 (* the label an array element is matched by across baseline and fresh *)
 let element_key ev =
-  match Tjson.mem "name" ev with
-  | Some (Tjson.Str s) -> Some s
+  match Json.mem "name" ev with
+  | Some (Json.Str s) -> Some s
   | _ ->
-    (match Tjson.mem "benchmark" ev with
-     | Some (Tjson.Str s) -> Some s
+    (match Json.mem "benchmark" ev with
+     | Some (Json.Str s) -> Some s
      | _ -> None)
 
 let rec compare_values ~factor ~skip ~lenient ~path ~key regressions base
     fresh =
   let fail rule bv fv =
     regressions :=
-      { path; rule; base = jstr bv; fresh = jstr fv } :: !regressions
+      { path; rule; base = Some bv; fresh = Some fv } :: !regressions
   in
   let shape why =
     shape_error := true;
     regressions :=
-      { path; rule = "shape: " ^ why; base = jstr base; fresh = jstr fresh }
+      { path; rule = "shape: " ^ why; base = Some base; fresh = Some fresh }
       :: !regressions
   in
   if List.mem key skip then ()
   else
     match (base, fresh) with
-    | Tjson.Num b, Tjson.Num f ->
+    | Json.Num _, Json.Num _ ->
+      let b = Json.to_float base and f = Json.to_float fresh in
       if is_timing key then begin
         if f > b *. factor then
           fail (Printf.sprintf "timing <= %gx baseline" factor) base fresh
@@ -121,20 +129,20 @@ let rec compare_values ~factor ~skip ~lenient ~path ~key regressions base
         if f < b *. 0.5 then fail "speedup >= 0.5x baseline" base fresh
       end
       else if f <> b then fail "counter exact" base fresh
-    | Tjson.Bool b, Tjson.Bool f ->
+    | Json.Bool b, Json.Bool f ->
       if b <> f then fail "boolean exact" base fresh
-    | Tjson.Str b, Tjson.Str f ->
+    | Json.Str b, Json.Str f ->
       (* a lenient run exists precisely because the schema strings
          differ within one family; don't re-flag the thing we already
          decided to tolerate *)
       if b <> f && not (lenient && key = "schema") then
         fail "string exact" base fresh
-    | Tjson.Null, Tjson.Null -> ()
-    | Tjson.Obj bfs, (Tjson.Obj _ as fobj) ->
+    | Json.Null, Json.Null -> ()
+    | Json.Obj bfs, (Json.Obj _ as fobj) ->
       List.iter
         (fun (k, bv) ->
           let sub = if path = "" then k else path ^ "." ^ k in
-          match Tjson.mem k fobj with
+          match Json.mem k fobj with
           | Some fv ->
             compare_values ~factor ~skip ~lenient ~path:sub ~key:k
               regressions bv fv
@@ -143,11 +151,11 @@ let rec compare_values ~factor ~skip ~lenient ~path ~key regressions base
               shape_error := true;
               regressions :=
                 { path = sub; rule = "shape: missing in fresh";
-                  base = jstr bv; fresh = "(absent)" }
+                  base = Some bv; fresh = None }
                 :: !regressions
             end)
         bfs
-    | Tjson.List bs, Tjson.List fs ->
+    | Json.List bs, Json.List fs ->
       let keyed = List.for_all (fun e -> element_key e <> None) bs in
       if keyed && bs <> [] then
         List.iter
@@ -163,7 +171,7 @@ let rec compare_values ~factor ~skip ~lenient ~path ~key regressions base
                 shape_error := true;
                 regressions :=
                   { path = sub; rule = "shape: missing in fresh";
-                    base = "{...}"; fresh = "(absent)" }
+                    base = Some bv; fresh = None }
                   :: !regressions
               end)
           bs
@@ -182,17 +190,6 @@ let rec compare_values ~factor ~skip ~lenient ~path ~key regressions base
           bs
       end
     | _ -> shape "type changed"
-
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -229,9 +226,9 @@ let () =
       exit 2
   in
   let load what path =
-    match Tjson.parse (Tjson.read_file path) with
+    match Json.parse (Json.read_file path) with
     | v -> v
-    | exception Tjson.Error msg ->
+    | exception Json.Error msg ->
       Printf.eprintf "bench_check: %s %s: %s\n" what path msg;
       exit 2
     | exception Sys_error e ->
@@ -250,36 +247,26 @@ let () =
     regressions base fresh;
   let regs = List.rev !regressions in
   let ok = regs = [] in
-  if !json then begin
-    Printf.printf "{\n  \"schema\": \"icc-bench-verdict/1\",\n";
-    Printf.printf "  \"baseline\": \"%s\",\n  \"fresh\": \"%s\",\n"
-      (escape base_path) (escape fresh_path);
-    Printf.printf "  \"factor\": %g,\n  \"ok\": %b,\n" !factor ok;
-    Printf.printf "  \"regressions\": [%s\n  ]\n}\n"
-      (String.concat ","
-         (List.map
-            (fun r ->
-              Printf.sprintf
-                "\n    {\"path\": \"%s\", \"rule\": \"%s\", \
-                 \"baseline\": %s, \"fresh\": %s}"
-                (escape r.path) (escape r.rule)
-                (let q s =
-                   (* scalar renderings from [jstr] are already JSON *)
-                   if s = "(absent)" then "\"(absent)\""
-                   else if s = "[...]" || s = "{...}" then
-                     Printf.sprintf "%S" s
-                   else s
-                 in
-                 q r.base)
-                (let q s =
-                   if s = "(absent)" then "\"(absent)\""
-                   else if s = "[...]" || s = "{...}" then
-                     Printf.sprintf "%S" s
-                   else s
-                 in
-                 q r.fresh))
-            regs))
-  end
+  if !json then
+    print_string
+      (Json.to_doc
+         (Json.Obj
+            [
+              ("schema", Json.Str "icc-bench-verdict/1");
+              ("baseline", Json.Str base_path);
+              ("fresh", Json.Str fresh_path);
+              ("factor", Json.num !factor);
+              ("ok", Json.Bool ok);
+              ( "regressions",
+                Json.List
+                  (List.map
+                     (fun r ->
+                       Json.Obj
+                         [ ("path", Json.Str r.path); ("rule", Json.Str r.rule);
+                           ("baseline", shown r.base);
+                           ("fresh", shown r.fresh) ])
+                     regs) );
+            ]))
   else if ok then
     Printf.printf "bench OK: %s within tolerance of %s (factor %g)\n"
       fresh_path base_path !factor
@@ -288,7 +275,7 @@ let () =
     List.iter
       (fun r ->
         Printf.printf "  %s: %s (baseline %s, fresh %s)\n" r.path r.rule
-          r.base r.fresh)
+          (text r.base) (text r.fresh))
       regs
   end;
   if ok then exit 0 else if !shape_error then exit 2 else exit 1

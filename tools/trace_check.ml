@@ -19,12 +19,14 @@
    Prints a one-line summary plus the sorted category set, so CI can
    assert which subsystems showed up.  Exit 1 on any violation. *)
 
+module Json = Obs.Json
+
 exception Bad of string
 
 let check ~merged path =
   let events, truncated =
-    try Tjson.parse_trace (Tjson.read_file path)
-    with Tjson.Error msg -> raise (Bad msg)
+    try Json.parse_trace (Json.read_file path)
+    with Json.Error msg -> raise (Bad msg)
   in
   (* per-event shape + span-balance accounting *)
   let counts = Hashtbl.create 4 in
@@ -40,33 +42,33 @@ let check ~merged path =
   List.iteri
     (fun i ev ->
       (match ev with
-       | Tjson.Obj _ -> ()
+       | Json.Obj _ -> ()
        | _ -> raise (Bad (Printf.sprintf "event %d is not an object" i)));
       let str k =
-        match Tjson.mem k ev with
-        | Some (Tjson.Str v) -> v
+        match Json.mem k ev with
+        | Some (Json.Str v) -> v
         | _ -> raise (Bad (Printf.sprintf "event %d: missing string %S" i k))
       in
       let num k =
-        match Tjson.mem k ev with
-        | Some (Tjson.Num v) -> v
+        match Json.mem k ev with
+        | Some (Json.Num _ as v) -> Json.to_float v
         | _ -> raise (Bad (Printf.sprintf "event %d: missing number %S" i k))
       in
       let ph = str "ph" in
       let name = str "name" in
       ignore (num "ts");
       let pid = int_of_float (num "pid") in
-      (match Tjson.mem "cat" ev with
-       | Some (Tjson.Str c) -> Hashtbl.replace cats c ()
+      (match Json.mem "cat" ev with
+       | Some (Json.Str c) -> Hashtbl.replace cats c ()
        | _ -> ());
-      (match Tjson.mem "args" ev with
-       | None | Some (Tjson.Obj _) -> ()
+      (match Json.mem "args" ev with
+       | None | Some (Json.Obj _) -> ()
        | Some _ -> raise (Bad (Printf.sprintf "event %d: args not an object" i)));
       if name = "trace.run" then begin
-        match Tjson.mem "args" ev with
-        | Some (Tjson.Obj fs) ->
+        match Json.mem "args" ev with
+        | Some (Json.Obj fs) ->
           (match List.assoc_opt "id" fs with
-           | Some (Tjson.Str id) -> Hashtbl.replace runs pid id
+           | Some (Json.Str id) -> Hashtbl.replace runs pid id
            | _ ->
              raise (Bad (Printf.sprintf "event %d: trace.run without id" i)))
         | _ -> raise (Bad (Printf.sprintf "event %d: trace.run without args" i))
