@@ -43,7 +43,10 @@ let create ?(capacity = default_capacity) () =
    rewritten by the packing pass based on [ginit]), and [main].  Two
    states printing identically can therefore still diverge under later
    passes or the simulator, so the node identity folds all of that
-   hidden state in alongside the text. *)
+   hidden state in alongside the text.  The printer does give each
+   global's size, and [ginit] holds only the written initializers (the
+   rest, up to that size, is zero), so the digest covers the whole
+   memory image while its cost follows the data the source wrote. *)
 let digest (p : Ir.program) =
   let b = Buffer.create 4096 in
   Buffer.add_string b (Ir.to_string p);

@@ -38,7 +38,10 @@ val create : ?capacity:int -> unit -> t
 (** hex MD5 of a program's printed IR plus the printer-omitted state
     (fresh-name counters, global element types and initializers,
     [main]) — the node identity.  (Engine's [ir_digest] is this
-    function.) *)
+    function.)  The initializers hashed are the written ones
+    ([Ir.global.ginit]); the zero tail up to each printed size is
+    implicit, so a digest costs what the source wrote, not what its
+    arrays hold. *)
 val digest : Mira.Ir.program -> string
 
 (** [apply t p ~digest pass] is [Passes.Pass.apply pass p] together

@@ -376,22 +376,13 @@ let dummy_arr =
 (* same base addresses as Interp.init_globals: the machine simulator
    keys its caches on these *)
 let init_globals (dp : t) : Interp.arr array =
-  let n = Array.length dp.globals in
-  let out = Array.make n dummy_arr in
   let addr = ref Interp.global_base in
-  for i = 0 to n - 1 do
-    let g = dp.globals.(i) in
-    let payload =
-      match g.Ir.gelt with
-      | Ir.EltInt | Ir.EltInt32 -> Interp.IA (Array.map int_of_float g.Ir.ginit)
-      | Ir.EltFloat -> Interp.FA (Array.copy g.Ir.ginit)
-    in
-    let esize = match g.Ir.gelt with Ir.EltInt32 -> 4 | _ -> 8 in
-    let mask32 = g.Ir.gelt = Ir.EltInt32 in
-    out.(i) <- { Interp.payload; base = !addr; esize; mask32 };
-    addr := !addr + Interp.align64 (g.Ir.gsize * esize)
-  done;
-  out
+  Array.map
+    (fun (g : Ir.global) ->
+      let a = Interp.global_arr ~base:!addr g in
+      addr := !addr + Interp.align64 (g.Ir.gsize * a.Interp.esize);
+      a)
+    dp.globals
 
 type frame = {
   df : dfunc;

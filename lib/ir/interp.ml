@@ -311,20 +311,29 @@ let rec eval_call st fname (args : value list) : value =
   st.sp <- saved_sp;
   rv
 
+let global_arr ~base (g : Ir.global) : arr =
+  let payload =
+    match g.Ir.gelt with
+    | Ir.EltInt | Ir.EltInt32 ->
+      let a = Array.make g.Ir.gsize 0 in
+      Array.iteri (fun i v -> a.(i) <- int_of_float v) g.Ir.ginit;
+      IA a
+    | Ir.EltFloat ->
+      let a = Array.make g.Ir.gsize 0.0 in
+      Array.blit g.Ir.ginit 0 a 0 (Array.length g.Ir.ginit);
+      FA a
+  in
+  let esize = match g.Ir.gelt with Ir.EltInt32 -> 4 | _ -> 8 in
+  { payload; base; esize; mask32 = g.Ir.gelt = Ir.EltInt32 }
+
 let init_globals (p : Ir.program) : (string, arr) Hashtbl.t =
   let globals = Hashtbl.create 8 in
   let addr = ref global_base in
   List.iter
     (fun (g : Ir.global) ->
-      let payload =
-        match g.Ir.gelt with
-        | Ir.EltInt | Ir.EltInt32 -> IA (Array.map int_of_float g.Ir.ginit)
-        | Ir.EltFloat -> FA (Array.copy g.Ir.ginit)
-      in
-      let esize = match g.Ir.gelt with Ir.EltInt32 -> 4 | _ -> 8 in
-      let mask32 = g.Ir.gelt = Ir.EltInt32 in
-      Hashtbl.replace globals g.Ir.gname { payload; base = !addr; esize; mask32 };
-      addr := !addr + align64 (g.Ir.gsize * esize))
+      let a = global_arr ~base:!addr g in
+      Hashtbl.replace globals g.Ir.gname a;
+      addr := !addr + align64 (g.Ir.gsize * a.esize))
     p.globals;
   globals
 

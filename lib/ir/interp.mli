@@ -67,6 +67,13 @@ val global_base : int
 val stack_base : int
 val align64 : int -> int
 
+(** a global's memory at byte address [base]: its [ginit], then zeros
+    up to [gsize].  Both engines build their global table from it, each
+    global based at the previous one's end, [align64]ed.
+    @raise Invalid_argument when [ginit] is longer than [gsize]
+    ({!Ir.check_program} reports that) *)
+val global_arr : base:int -> Ir.global -> arr
+
 (** Run a program from its main function.
     @raise Trap on runtime errors
     @raise Out_of_fuel when the step budget is exhausted *)

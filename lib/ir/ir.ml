@@ -323,4 +323,11 @@ let check_program (p : program) : wf_error list =
     if SMap.mem p.main p.funcs then errs
     else Printf.sprintf "main function %s missing" p.main :: errs
   in
-  errs
+  List.fold_left
+    (fun errs g ->
+      if Array.length g.ginit <= g.gsize then errs
+      else
+        Printf.sprintf "global %s: %d initializers for %d elements" g.gname
+          (Array.length g.ginit) g.gsize
+        :: errs)
+    errs p.globals

@@ -73,7 +73,13 @@ type global = {
   gname : string;
   gelt : elt;
   gsize : int;
-  ginit : float array;  (** leading initializers (ints stored as floats) *)
+  ginit : float array;
+      (** initial values (ints stored as floats) up to the last one that
+          is not +0.0: every element from [Array.length ginit] to [gsize]
+          starts at zero.  [Lower] builds it so, keeping only what the
+          source wrote.  Never longer than [gsize] ({!check_program}); a
+          zero tail written out is the same memory but a different
+          program digest. *)
 }
 
 type program = { globals : global list; funcs : func SMap.t; main : string }
@@ -145,7 +151,8 @@ val to_string : program -> string
 
 (** {2 Well-formedness}
 
-    Every referenced label/register/array must resolve.  Passes must
+    Every referenced label/register/array must resolve, and no global
+    has more initializers than elements.  Passes must
     preserve well-formedness; the test suite checks it after every pass
     on every workload. *)
 

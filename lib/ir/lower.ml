@@ -411,6 +411,16 @@ let lower_func fsigs (globals : Ast.global list) (f : Ast.func) : Ir.func =
     locals = List.rev st.locals;
   }
 
+(* A global's [ginit]: its source initializers (at most [gsize]) up to
+   the last one that is not +0.0; the zeros after it are implicit, so
+   the work follows what the source wrote, never [gsize].  The test is
+   on bits: a -0.0 float initializer differs from +0.0 and stays. *)
+let written_init gsize (init : float list) : float array =
+  let a = Array.of_list (List.filteri (fun i _ -> i < gsize) init) in
+  let n = ref (Array.length a) in
+  while !n > 0 && Int64.bits_of_float a.(!n - 1) = 0L do decr n done;
+  Array.sub a 0 !n
+
 let lower (p : Ast.program) : Ir.program =
   let fsigs = Hashtbl.create 16 in
   List.iter
@@ -426,8 +436,6 @@ let lower (p : Ast.program) : Ir.program =
   let globals =
     List.map
       (fun (g : Ast.global) ->
-        let init = Array.make g.Ast.gsize 0.0 in
-        List.iteri (fun i v -> if i < g.Ast.gsize then init.(i) <- v) g.Ast.ginit;
         {
           Ir.gname = g.Ast.gname;
           gelt =
@@ -435,7 +443,7 @@ let lower (p : Ast.program) : Ir.program =
              | Ast.EltInt -> Ir.EltInt
              | Ast.EltFloat -> Ir.EltFloat);
           gsize = g.Ast.gsize;
-          ginit = init;
+          ginit = written_init g.Ast.gsize g.Ast.ginit;
         })
       p.Ast.globals
   in

@@ -99,6 +99,8 @@ let narrowable_globals (p : Ir.program) : string list =
   let init_candidates =
     List.fold_left
       (fun acc (g : Ir.global) ->
+        (* [ginit] holds only the written prefix; the implicit zero tail
+           is in range, so checking the prefix is exact *)
         if
           g.Ir.gelt = Ir.EltInt
           && Array.for_all

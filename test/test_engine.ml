@@ -268,6 +268,35 @@ let test_warm_cache_across_instances () =
         (Array.for_all (fun o -> o.Engine.from_cache) warm);
       Engine.Rcache.close (Engine.cache e2))
 
+(* A result cache written when globals were lowered to full length: the
+   padded copy reproduces that lowering's digests, so evaluating it
+   writes the keys such a cache holds.  The trimmed program must then
+   miss every key and every persisted simulation, cleanly, and price
+   each sequence as before. *)
+let test_full_length_cache_misses () =
+  let dir = tmp_dir "engine-full-length" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let seqs = sequences 30 in
+      let e1 = Engine.create ~cache:(Engine.Rcache.open_dir dir) config in
+      let old = Engine.eval_batch e1 (Padded.program target) seqs in
+      let old_sims = (Engine.stats e1).Engine.sims in
+      Engine.Rcache.close (Engine.cache e1);
+      let e2 = Engine.create ~cache:(Engine.Rcache.open_dir dir) config in
+      let fresh = Engine.eval_batch e2 target seqs in
+      check_outcomes_equal "full-length vs trimmed" old fresh;
+      Alcotest.(check bool) "nothing served from the old entries" true
+        (Array.for_all (fun o -> not o.Engine.from_cache) fresh);
+      let s = Engine.stats e2 in
+      Alcotest.(check int) "no hits" 0 s.Engine.hits;
+      Alcotest.(check int) "no persisted simulation reused" old_sims
+        s.Engine.sims;
+      Alcotest.(check int) "nothing quarantined" 0
+        (Engine.health e2).Engine.cache_quarantined;
+      Alcotest.(check bool) "engine healthy" true (Engine.healthy e2);
+      Engine.Rcache.close (Engine.cache e2))
+
 let test_duplicate_sequences_simulated_once () =
   let eng = Engine.create ~jobs:4 config in
   let seq = [ Passes.Pass.Const_fold; Passes.Pass.Dce ] in
@@ -364,6 +393,8 @@ let () =
             test_parallel_identical_to_serial;
           Alcotest.test_case "warm cache across instances" `Quick
             test_warm_cache_across_instances;
+          Alcotest.test_case "full-length cache keys miss cleanly" `Quick
+            test_full_length_cache_misses;
           Alcotest.test_case "duplicates simulated once" `Quick
             test_duplicate_sequences_simulated_once;
           Alcotest.test_case "failures cached" `Quick test_failure_is_cached;

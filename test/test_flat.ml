@@ -39,6 +39,38 @@ let test_workloads_agree () =
         ])
     Workloads.all
 
+(* A global's zero tail is implicit in the IR and written out by the
+   engines when a run starts: on every engine, the program and its copy
+   with the tail written out must run identically, before and after
+   Ofast (whose pack pass reads [ginit]). *)
+let test_padded_copy_agrees () =
+  let same (a : Mach.Sim.result) (b : Mach.Sim.result) =
+    Stdlib.compare
+      (a.Mach.Sim.cycles, a.Mach.Sim.counters, a.Mach.Sim.ret,
+       a.Mach.Sim.output, a.Mach.Sim.steps)
+      (b.Mach.Sim.cycles, b.Mach.Sim.counters, b.Mach.Sim.ret,
+       b.Mach.Sim.output, b.Mach.Sim.steps)
+    = 0
+  in
+  List.iter
+    (fun (w : Workloads.t) ->
+      List.iter
+        (fun (label, seq) ->
+          let p = Passes.Pass.apply_sequence seq (Workloads.program w) in
+          let padded = Padded.program p in
+          List.iter
+            (fun engine ->
+              if
+                not
+                  (same (Mach.Sim.run ~engine p)
+                     (Mach.Sim.run ~engine padded))
+              then
+                Alcotest.failf "%s at %s on %s: padded copy runs differently"
+                  w.Workloads.name label (Mach.Sim.engine_name engine))
+            [ Mach.Sim.Ref; Mach.Sim.Flat; Mach.Sim.Trace ])
+        [ ("O0", []); ("Ofast", Passes.Pass.ofast) ])
+    Workloads.all
+
 (* --- fuzzing ------------------------------------------------------- *)
 
 (* deterministic random valid pass sequence per seed (same scheme as
@@ -337,6 +369,7 @@ let suite =
           (Printf.sprintf "%d fuzz programs agree (bare + random sequences)"
              fuzz_count)
           test_fuzz_engines;
+        slow "written-out zero tails run identically" test_padded_copy_agrees;
         t "trap fidelity: type confusion" test_trap_type_confusion;
         t "trap fidelity: undef + unknown names" test_trap_undef_and_names;
         t "trap fidelity: arithmetic" test_trap_arith;

@@ -212,7 +212,11 @@ let test_globals () =
   check_ret
     {|global g: float[2] = {1.5, 2.5};
       fn main() -> int { return int(g[0] + g[1]); }|}
-    "4"
+    "4";
+  check_ret
+    {|global g: float[4] = {1.5, 2.5};
+      fn main() -> int { return int(g[0] + g[3]); }|}
+    "1"
 
 let test_calls_and_recursion () =
   check_ret
@@ -349,6 +353,59 @@ let test_ir_liveness () =
       lv.Mira.Analysis.live_in
   in
   Alcotest.(check bool) "live sets nonempty" true nonempty
+
+let ginit_of src =
+  match (compile src).Mira.Ir.globals with
+  | [ g ] -> g.Mira.Ir.ginit
+  | _ -> Alcotest.fail "expected one global"
+
+let bits a = Array.to_list (Array.map Int64.bits_of_float a)
+
+let test_ginit_written_only () =
+  let fn = " fn main() -> int { return 0; }" in
+  let check label expect src =
+    Alcotest.(check (list int64))
+      label (bits expect)
+      (bits (ginit_of (src ^ fn)))
+  in
+  check "zero tail dropped" [| 1.0; 2.0 |] "global g: int[8] = {1, 2};";
+  check "written zeros dropped" [| 1.0; 2.0 |]
+    "global g: int[8] = {1, 2, 0, 0};";
+  check "all zeros" [||] "global g: int[4] = {0, 0};";
+  check "no initializer" [||] "global g: int[4];";
+  check "inner zero kept" [| 0.0; 3.0 |] "global g: int[4] = {0, 3};";
+  check "-0.0 kept" [| 1.0; -0.0 |] "global g: float[2] = {1.0, -0.0};";
+  check "+0.0 after -0.0 dropped" [| -0.0 |]
+    "global g: float[3] = {-0.0, 0.0};";
+  (* mcf_spars writes no initializer: its ~100k elements are all implicit *)
+  List.iter
+    (fun (g : Mira.Ir.global) ->
+      Alcotest.(check int) (g.Mira.Ir.gname ^ ": empty ginit") 0
+        (Array.length g.Mira.Ir.ginit))
+    (Workloads.program Workloads.mcf_spars).Mira.Ir.globals
+
+let test_ir_ginit_within_gsize () =
+  let p =
+    compile "global g: int[2] = {1, 2}; fn main() -> int { return g[1]; }"
+  in
+  let with_init init =
+    { p with
+      Mira.Ir.globals =
+        List.map
+          (fun g -> { g with Mira.Ir.ginit = init })
+          p.Mira.Ir.globals
+    }
+  in
+  Alcotest.(check (list string)) "full initializer is well-formed" []
+    (Mira.Ir.check_program (with_init [| 1.0; 2.0 |]));
+  let long = with_init [| 1.0; 2.0; 3.0 |] in
+  Alcotest.(check (list string)) "longer than gsize is reported"
+    [ "global g: 3 initializers for 2 elements" ]
+    (Mira.Ir.check_program long);
+  (* it would read past gsize and overlap the next global: refused *)
+  match Mira.Interp.run long with
+  | _ -> Alcotest.fail "a ginit longer than gsize must not run"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Packed (EltInt32) array semantics *)
@@ -597,6 +654,8 @@ let suite =
     ( "ir",
       [
         t "well-formed" test_ir_well_formed;
+        t "ginit holds the written prefix" test_ginit_written_only;
+        t "well-formed: ginit within gsize" test_ir_ginit_within_gsize;
         t "loops" test_ir_loop_analysis;
         t "dominators" test_ir_dominators;
         t "liveness" test_ir_liveness;

@@ -131,6 +131,80 @@ let test_no_share_is_seed_engine () =
     s.Engine.sims;
   Alcotest.(check int) "no dedup" 0 s.Engine.dedup_hits
 
+(* ------------------------------------------------------------------ *)
+(* the digest: what it hashes, and that the zero tail is implicit *)
+
+let compile src = Mira.Lower.compile_source_exn src
+
+let test_digest_ignores_written_zeros () =
+  let src init =
+    Printf.sprintf
+      "global g: int[8] = {%s}; fn main() -> int { return g[1]; }" init
+  in
+  Alcotest.(check string) "{1, 2} = {1, 2, 0, 0}"
+    (Pctrie.digest (compile (src "1, 2")))
+    (Pctrie.digest (compile (src "1, 2, 0, 0")))
+
+(* every field the printer omits, plus the printed size, moves the
+   digest: a key that missed one would serve a result across programs
+   that run differently *)
+let test_digest_covers_hidden_state () =
+  let p =
+    compile
+      {|global g: int[8] = {1, 2, 3};
+        fn f(x: int) -> int { return x + g[2]; }
+        fn main() -> int { return f(g[1]); }|}
+  in
+  let d = Pctrie.digest p in
+  let map_global f =
+    { p with Mira.Ir.globals = List.map f p.Mira.Ir.globals }
+  in
+  let map_main f =
+    Mira.Ir.update_func p (f (Mira.Ir.find_func p "main"))
+  in
+  List.iter
+    (fun (label, p') ->
+      if Pctrie.digest p' = d then
+        Alcotest.failf "digest ignores a change of %s" label)
+    [
+      ( "one initializer element",
+        map_global (fun g ->
+            let a = Array.copy g.Mira.Ir.ginit in
+            a.(1) <- 7.0;
+            { g with Mira.Ir.ginit = a }) );
+      ( "the sign of a zero initializer",
+        map_global (fun g ->
+            { g with Mira.Ir.ginit = Array.append g.Mira.Ir.ginit [| -0.0 |] })
+      );
+      ( "gelt",
+        map_global (fun g -> { g with Mira.Ir.gelt = Mira.Ir.EltInt32 }) );
+      ("gsize", map_global (fun g -> { g with Mira.Ir.gsize = 9 }));
+      ( "nregs",
+        map_main (fun f -> { f with Mira.Ir.nregs = f.Mira.Ir.nregs + 1 }) );
+      ( "nlabels",
+        map_main (fun f -> { f with Mira.Ir.nlabels = f.Mira.Ir.nlabels + 1 })
+      );
+      ("main", { p with Mira.Ir.main = "f" });
+    ]
+
+(* A program with its zero tail written out hashes to the key the
+   full-length lowering gave it, pinned here, so caches written under
+   that lowering are the fixture of test_engine and test_tstore.  The
+   trimmed program's key differs unless it has no zero tail. *)
+let test_digest_of_padded_copy () =
+  List.iter
+    (fun (name, full, same) ->
+      let p = Workloads.program (Workloads.by_name_exn name) in
+      Alcotest.(check string) (name ^ ": padded copy") full
+        (Pctrie.digest (Padded.program p));
+      Alcotest.(check bool) (name ^ ": trimmed keeps the key") same
+        (Pctrie.digest p = full))
+    [
+      ("adpcm", "ae150635522710a9eaeef5f698a102c1", false);
+      ("mcf_spars", "5fbecd432af44bc1cd82c6ee573d454f", false);
+      ("bitcount", "c3472e9e43865cd598b9d4bf50816402", true);
+    ]
+
 let () =
   Alcotest.run "sharing"
     [
@@ -140,6 +214,15 @@ let () =
             test_trie_matches_direct;
           Alcotest.test_case "eviction is sound" `Quick
             test_trie_eviction_sound;
+        ] );
+      ( "digest",
+        [
+          Alcotest.test_case "written zeros are implicit" `Quick
+            test_digest_ignores_written_zeros;
+          Alcotest.test_case "covers the printer-omitted state" `Quick
+            test_digest_covers_hidden_state;
+          Alcotest.test_case "padded copy keeps the full-length key" `Quick
+            test_digest_of_padded_copy;
         ] );
       ( "engine",
         [

@@ -156,6 +156,35 @@ let test_store_round_trip () =
           (same (Replay.run ~config tr) (Replay.run ~config tr')))
       Config.all
 
+(* A store written when globals were lowered to full length holds the
+   trace under the padded copy's digest.  The trimmed program's digest
+   must miss it cleanly, and its own trace replays to the same result. *)
+let test_full_length_key_misses () =
+  let dir = tmp_dir "tstore-full-length" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let p = Workloads.program Workloads.adpcm in
+  let old = Padded.program p in
+  let ts = Tstore.open_dir dir in
+  Tstore.add ts ~ir_digest:(Engine.Pctrie.digest old) ~fuel
+    (Mtrace.generate ~fuel (Mira.Decode.decode old));
+  Tstore.close ts;
+  let ts = Tstore.open_dir dir in
+  Fun.protect ~finally:(fun () -> Tstore.close ts) @@ fun () ->
+  Alcotest.(check bool) "trimmed digest misses" true
+    (Tstore.find ts ~ir_digest:(Engine.Pctrie.digest p) ~fuel = None);
+  Alcotest.(check int) "nothing quarantined" 0 (Tstore.quarantined ts);
+  match Tstore.find ts ~ir_digest:(Engine.Pctrie.digest old) ~fuel with
+  | None -> Alcotest.fail "full-length entry lost"
+  | Some stored ->
+    let tr = Mtrace.generate ~fuel (Mira.Decode.decode p) in
+    List.iter
+      (fun config ->
+        Alcotest.(check bool)
+          (config.Config.name ^ ": same replay as the stored trace")
+          true
+          (same (Replay.run ~config stored) (Replay.run ~config tr)))
+      Config.all
+
 (* ------------------------------------------------------------------ *)
 (* torn writes: quarantine, never a crash, and self-healing *)
 
@@ -346,6 +375,7 @@ let suite =
     ( "store",
       [
         t "add / close / reopen / find round-trip" test_store_round_trip;
+        t "full-length key misses cleanly" test_full_length_key_misses;
         t "torn write: quarantined and self-healed" test_torn_write_quarantine;
         t "absorb merges worker stores" test_absorb;
         t "Tcache writes through and reads back" test_tcache_write_through;
