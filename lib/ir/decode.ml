@@ -1,8 +1,10 @@
 (* Pre-decoded flat execution engine.
 
    [decode] translates an [Ir.program] once into a flat array bytecode;
-   [run] executes it on unboxed register files.  The contract is
-   bit-identity with [Interp.run] under [no_hooks]: same return value,
+   [Exec] is the one dispatch loop over it, on unboxed register files.
+   [run] is that loop with no machine model, and Mach.Flatsim supplies
+   the cycle-level model through the same loop's hooks.  The contract
+   is bit-identity with [Interp.run] under [no_hooks]: same return value,
    same printed output, same [steps], and the same trap (message
    included) at the same point.  Interp stays the semantics oracle; the
    differential tests in test_flat.ml and the fuzzer police the
@@ -34,6 +36,12 @@
      [Invalid_argument].  Only ill-formed programs (rejected by
      [Ir.check_program], never produced by lowering or passes) can
      reach this.
+   - A simple-issue op with a negative register id raises the
+     reference's [Invalid_argument] from its operand read or write, so
+     an earlier operand's trap fires first.  The reference simulator
+     raises it from its issue stamps, before any operand is read.  Only
+     ill-formed programs (a "bad reg" or "bad def" in
+     [Ir.check_program]) can reach this.
 
    Register files are a tag plan: per frame an [int array] of tags plus
    unboxed [int array]/[float array]/handle-array payloads.  A fully
@@ -68,6 +76,27 @@ let k_gunk = 6
 let k_lunk = 7
 let k_none = 8
 
+(* Latency classes of the ops that close an issue bundle and pay a
+   configured latency; [Exec]'s [long] hook receives one, and
+   Mach.Mtrace's long-run events carry the same numbers *)
+let cls_mul = 0 (* Mul *)
+let cls_div = 1 (* Div, Rem *)
+let cls_fadd = 2 (* FP add/sub/compare, conversions *)
+let cls_fmul = 3
+let cls_fdiv = 4
+let cls_call = 5
+let cls_print = 6
+let cls_jump = 7 (* Jmp, Ret: the [jump] hook's cost *)
+let cls_count = 8
+
+(* single-cycle ALU ops, which the machine model issues in bundles;
+   every other op but [OBadLabel] fires one of [Exec]'s hooks *)
+let is_simple = function
+  | OAdd | OSub | OAnd | OOr | OXor | OShl | OShr | OIeq | OIne | OIlt
+  | OIle | OIgt | OIge | ONot | OMov | OAlen ->
+    true
+  | _ -> false
+
 type dinstr = {
   op : op;
   dst : int;
@@ -89,6 +118,7 @@ type dfunc = {
   nregs : int;
   code : dinstr array;
   entry_pc : int;
+  base : int;
   locals : (string * Ir.elt * int) array;
 }
 
@@ -163,6 +193,9 @@ let decode_program (p : Ir.program) : t =
      the same order Interp.build_sites assigns them, so the predictor
      state evolves identically in both engines *)
   let site_count = ref 0 in
+  (* functions' code laid end to end, in SMap order: [base] is where
+     each one starts *)
+  let code_off = ref 0 in
   let decode_func (fname, (f : Ir.func)) : dfunc =
     let ltbl = Hashtbl.create 8 in
     List.iteri (fun i (n, _, _) -> Hashtbl.replace ltbl n i) f.Ir.locals;
@@ -324,16 +357,21 @@ let decode_program (p : Ir.program) : t =
     List.iter
       (fun l -> body := { nop with op = OBadLabel; a = l } :: !body)
       (List.rev !bad_slots);
+    let code = Array.of_list (List.rev !body) in
+    let base = !code_off in
+    code_off := base + Array.length code;
     {
       fname;
       params = Array.of_list f.Ir.params;
       nregs = f.Ir.nregs;
-      code = Array.of_list (List.rev !body);
+      code;
       entry_pc = target f.Ir.entry;
+      base;
       locals = Array.of_list f.Ir.locals;
     }
   in
-  (* explicit loop: site ids must be assigned in SMap order *)
+  (* explicit loop: site ids and code offsets must be assigned in SMap
+     order *)
   let dfuncs = ref [] in
   List.iter (fun fb -> dfuncs := decode_func fb :: !dfuncs) fun_list;
   {
@@ -604,10 +642,7 @@ let result_of rt : Interp.result =
   { Interp.ret; output = Buffer.contents rt.buf; steps = rt.steps }
 
 (* ------------------------------------------------------------------ *)
-(* The plain dispatch loop (no machine model).  Mach.Flatsim duplicates
-   this loop's shape with timing/counter accounting fused into every
-   arm; changes here almost certainly need a mirror change there, and
-   the differential tests will catch a missed one. *)
+(* The dispatch loop *)
 
 let do_icmp rt fr di c =
   (* reference shape: both operands read first (tuple, right-to-left),
@@ -642,191 +677,251 @@ let do_fcmp rt fr di c =
     | 4 -> a > b
     | _ -> a >= b)
 
-let rec exec rt (fr : frame) : unit =
-  let code = fr.df.code in
-  let pc = ref fr.df.entry_pc in
-  let running = ref true in
-  while !running do
-    (* pc stays in bounds by construction: every block ends in a
-       terminator and all branch targets are decoded offsets *)
-    let di = Array.unsafe_get code !pc in
-    rt.fuel <- rt.fuel - 1;
-    rt.steps <- rt.steps + 1;
-    if rt.fuel <= 0 then raise Interp.Out_of_fuel;
-    incr pc;
-    match di.op with
-    | OAdd ->
-      let b = geti rt fr di.bk di.b in
-      let a = geti rt fr di.ak di.a in
-      set_int fr di.dst (a + b)
-    | OSub ->
-      let b = geti rt fr di.bk di.b in
-      let a = geti rt fr di.ak di.a in
-      set_int fr di.dst (a - b)
-    | OMul ->
-      let b = geti rt fr di.bk di.b in
-      let a = geti rt fr di.ak di.a in
-      set_int fr di.dst (a * b)
-    | ODiv ->
-      let b = geti rt fr di.bk di.b in
-      let a = geti rt fr di.ak di.a in
-      if b = 0 then trap "division by zero" else set_int fr di.dst (a / b)
-    | ORem ->
-      let b = geti rt fr di.bk di.b in
-      let a = geti rt fr di.ak di.a in
-      if b = 0 then trap "remainder by zero" else set_int fr di.dst (a mod b)
-    | OAnd ->
-      let b = geti rt fr di.bk di.b in
-      let a = geti rt fr di.ak di.a in
-      set_int fr di.dst (a land b)
-    | OOr ->
-      let b = geti rt fr di.bk di.b in
-      let a = geti rt fr di.ak di.a in
-      set_int fr di.dst (a lor b)
-    | OXor ->
-      let b = geti rt fr di.bk di.b in
-      let a = geti rt fr di.ak di.a in
-      set_int fr di.dst (a lxor b)
-    | OShl ->
-      let b = geti rt fr di.bk di.b in
-      let a = geti rt fr di.ak di.a in
-      if shift_ok b then set_int fr di.dst (a lsl b)
-      else trap "shift count %d" b
-    | OShr ->
-      let b = geti rt fr di.bk di.b in
-      let a = geti rt fr di.ak di.a in
-      if shift_ok b then set_int fr di.dst (a asr b)
-      else trap "shift count %d" b
-    | OFAdd ->
-      let b = getf rt fr di.bk di.b in
-      let a = getf rt fr di.ak di.a in
-      set_flt fr di.dst (a +. b)
-    | OFSub ->
-      let b = getf rt fr di.bk di.b in
-      let a = getf rt fr di.ak di.a in
-      set_flt fr di.dst (a -. b)
-    | OFMul ->
-      let b = getf rt fr di.bk di.b in
-      let a = getf rt fr di.ak di.a in
-      set_flt fr di.dst (a *. b)
-    | OFDiv ->
-      let b = getf rt fr di.bk di.b in
-      let a = getf rt fr di.ak di.a in
-      set_flt fr di.dst (a /. b)
-    | OIeq -> do_icmp rt fr di 0
-    | OIne -> do_icmp rt fr di 1
-    | OIlt -> do_icmp rt fr di 2
-    | OIle -> do_icmp rt fr di 3
-    | OIgt -> do_icmp rt fr di 4
-    | OIge -> do_icmp rt fr di 5
-    | OFeq -> do_fcmp rt fr di 0
-    | OFne -> do_fcmp rt fr di 1
-    | OFlt -> do_fcmp rt fr di 2
-    | OFle -> do_fcmp rt fr di 3
-    | OFgt -> do_fcmp rt fr di 4
-    | OFge -> do_fcmp rt fr di 5
-    | ONot ->
-      let x = getb rt fr di.ak di.a in
-      set_bool fr di.dst (not x)
-    | OMov ->
-      eval_any rt fr di.ak di.a;
-      set_scratch rt fr di.dst
-    | OI2f ->
-      let a = geti rt fr di.ak di.a in
-      set_flt fr di.dst (float_of_int a)
-    | OF2i ->
-      let f = getf rt fr di.ak di.a in
-      if Float.is_nan f || Float.abs f > 4.6e18 then
-        trap "float-to-int overflow on %g" f
-      else set_int fr di.dst (int_of_float f)
-    | OLoad ->
-      let ix = geti rt fr di.bk di.b in
-      let a = geta rt fr di.ak di.a in
-      let len = arr_len a in
-      if ix < 0 || ix >= len then
-        trap "load out of bounds: index %d, length %d" ix len;
-      (match a.Interp.payload with
-      | Interp.IA x -> set_int fr di.dst (Array.unsafe_get x ix)
-      | Interp.FA x -> set_flt fr di.dst (Array.unsafe_get x ix))
-    | OStore ->
-      (* value, then index, then array — right-to-left like the oracle *)
-      eval_any rt fr di.ck di.c;
-      let vtag = rt.s_tag in
-      let vi = rt.s_int and vf = rt.s_flt in
-      let ix = geti rt fr di.bk di.b in
-      let a = geta rt fr di.ak di.a in
-      let len = arr_len a in
-      if ix < 0 || ix >= len then
-        trap "store out of bounds: index %d, length %d" ix len;
-      (match a.Interp.payload with
-      | Interp.IA x ->
-        if vtag = 1 then
-          Array.unsafe_set x ix
-            (if a.Interp.mask32 then vi land 0xFFFFFFFF else vi)
-        else trap "storing non-int into int array"
-      | Interp.FA x ->
-        if vtag = 2 then Array.unsafe_set x ix vf
-        else trap "storing non-float into float array")
-    | OAlen ->
-      let a = geta rt fr di.ak di.a in
-      set_int fr di.dst (arr_len a)
-    | OCall ->
-      let args = di.args in
-      let nargs = Array.length args / 2 in
-      for j = 0 to nargs - 1 do
-        eval_any rt fr
-          (Array.unsafe_get args (2 * j))
-          (Array.unsafe_get args ((2 * j) + 1));
-        save_arg rt j
-      done;
-      if di.callee < 0 then trap "call to unknown function %s" di.sname;
-      do_call rt di.callee nargs;
-      if di.dst >= 0 then set_scratch rt fr di.dst
-    | OPrint ->
-      eval_any rt fr di.ak di.a;
-      Buffer.add_string rt.buf
-        (match rt.s_tag with
-        | 1 -> string_of_int rt.s_int
-        | 2 -> Printf.sprintf "%.6g" rt.s_flt
-        | 3 -> if rt.s_int <> 0 then "true" else "false"
-        | _ -> "<array>");
-      Buffer.add_char rt.buf '\n'
-    | OJmp -> pc := di.dst
-    | OBr ->
-      let taken = getb rt fr di.ak di.a in
-      pc := if taken then di.dst else di.b
-    | ORetN ->
-      rt.s_tag <- 0;
-      running := false
-    | ORetV ->
-      eval_any rt fr di.ak di.a;
-      running := false
-    | OBadLabel ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf "Ir.find_block: no block %d in %s" di.a
-              fr.df.fname))
-  done
+module type MODEL = sig
+  type t
 
-and do_call rt fidx nargs : unit =
-  let df = rt.dp.funcs.(fidx) in
-  if nargs <> Array.length df.params then
-    trap "arity mismatch calling %s" df.fname;
-  let fr = new_frame rt.dp fidx in
-  bind_params rt fr nargs;
-  let saved_sp = rt.sp in
-  fr.locals <- alloc_locals rt df;
-  exec rt fr;
-  rt.sp <- saved_sp
+  val long : t -> int -> int -> unit
+  val mem : t -> int -> bool -> int -> unit
+  val branch : t -> int -> int -> bool -> unit
+  val jump : t -> int -> unit
+end
+
+(* The one dispatch loop (decode.mli lists where each hook fires).  The
+   hooks sit at the reference simulator's accounting points relative to
+   the semantics, so a simulated run raises the exception the reference
+   raises. *)
+module Exec (M : MODEL) = struct
+  let rec exec rt (m : M.t) (fr : frame) : unit =
+    let df = fr.df in
+    let code = df.code and base = df.base in
+    let pc = ref df.entry_pc in
+    let running = ref true in
+    while !running do
+      (* pc stays in bounds by construction: every block ends in a
+         terminator and all branch targets are decoded offsets *)
+      let at = !pc in
+      let di = Array.unsafe_get code at in
+      rt.fuel <- rt.fuel - 1;
+      rt.steps <- rt.steps + 1;
+      if rt.fuel <= 0 then raise Interp.Out_of_fuel;
+      pc := at + 1;
+      match di.op with
+      | OAdd ->
+        let b = geti rt fr di.bk di.b in
+        let a = geti rt fr di.ak di.a in
+        set_int fr di.dst (a + b)
+      | OSub ->
+        let b = geti rt fr di.bk di.b in
+        let a = geti rt fr di.ak di.a in
+        set_int fr di.dst (a - b)
+      | OMul ->
+        M.long m (base + at) cls_mul;
+        let b = geti rt fr di.bk di.b in
+        let a = geti rt fr di.ak di.a in
+        set_int fr di.dst (a * b)
+      | ODiv ->
+        M.long m (base + at) cls_div;
+        let b = geti rt fr di.bk di.b in
+        let a = geti rt fr di.ak di.a in
+        if b = 0 then trap "division by zero" else set_int fr di.dst (a / b)
+      | ORem ->
+        M.long m (base + at) cls_div;
+        let b = geti rt fr di.bk di.b in
+        let a = geti rt fr di.ak di.a in
+        if b = 0 then trap "remainder by zero"
+        else set_int fr di.dst (a mod b)
+      | OAnd ->
+        let b = geti rt fr di.bk di.b in
+        let a = geti rt fr di.ak di.a in
+        set_int fr di.dst (a land b)
+      | OOr ->
+        let b = geti rt fr di.bk di.b in
+        let a = geti rt fr di.ak di.a in
+        set_int fr di.dst (a lor b)
+      | OXor ->
+        let b = geti rt fr di.bk di.b in
+        let a = geti rt fr di.ak di.a in
+        set_int fr di.dst (a lxor b)
+      | OShl ->
+        let b = geti rt fr di.bk di.b in
+        let a = geti rt fr di.ak di.a in
+        if shift_ok b then set_int fr di.dst (a lsl b)
+        else trap "shift count %d" b
+      | OShr ->
+        let b = geti rt fr di.bk di.b in
+        let a = geti rt fr di.ak di.a in
+        if shift_ok b then set_int fr di.dst (a asr b)
+        else trap "shift count %d" b
+      | OFAdd ->
+        M.long m (base + at) cls_fadd;
+        let b = getf rt fr di.bk di.b in
+        let a = getf rt fr di.ak di.a in
+        set_flt fr di.dst (a +. b)
+      | OFSub ->
+        M.long m (base + at) cls_fadd;
+        let b = getf rt fr di.bk di.b in
+        let a = getf rt fr di.ak di.a in
+        set_flt fr di.dst (a -. b)
+      | OFMul ->
+        M.long m (base + at) cls_fmul;
+        let b = getf rt fr di.bk di.b in
+        let a = getf rt fr di.ak di.a in
+        set_flt fr di.dst (a *. b)
+      | OFDiv ->
+        M.long m (base + at) cls_fdiv;
+        let b = getf rt fr di.bk di.b in
+        let a = getf rt fr di.ak di.a in
+        set_flt fr di.dst (a /. b)
+      | OIeq -> do_icmp rt fr di 0
+      | OIne -> do_icmp rt fr di 1
+      | OIlt -> do_icmp rt fr di 2
+      | OIle -> do_icmp rt fr di 3
+      | OIgt -> do_icmp rt fr di 4
+      | OIge -> do_icmp rt fr di 5
+      | OFeq ->
+        M.long m (base + at) cls_fadd;
+        do_fcmp rt fr di 0
+      | OFne ->
+        M.long m (base + at) cls_fadd;
+        do_fcmp rt fr di 1
+      | OFlt ->
+        M.long m (base + at) cls_fadd;
+        do_fcmp rt fr di 2
+      | OFle ->
+        M.long m (base + at) cls_fadd;
+        do_fcmp rt fr di 3
+      | OFgt ->
+        M.long m (base + at) cls_fadd;
+        do_fcmp rt fr di 4
+      | OFge ->
+        M.long m (base + at) cls_fadd;
+        do_fcmp rt fr di 5
+      | ONot ->
+        let x = getb rt fr di.ak di.a in
+        set_bool fr di.dst (not x)
+      | OMov ->
+        eval_any rt fr di.ak di.a;
+        set_scratch rt fr di.dst
+      | OI2f ->
+        M.long m (base + at) cls_fadd;
+        let a = geti rt fr di.ak di.a in
+        set_flt fr di.dst (float_of_int a)
+      | OF2i ->
+        M.long m (base + at) cls_fadd;
+        let f = getf rt fr di.ak di.a in
+        if Float.is_nan f || Float.abs f > 4.6e18 then
+          trap "float-to-int overflow on %g" f
+        else set_int fr di.dst (int_of_float f)
+      | OLoad ->
+        let ix = geti rt fr di.bk di.b in
+        let a = geta rt fr di.ak di.a in
+        let len = arr_len a in
+        if ix < 0 || ix >= len then
+          trap "load out of bounds: index %d, length %d" ix len;
+        M.mem m (base + at) false (a.Interp.base + (ix * a.Interp.esize));
+        (match a.Interp.payload with
+        | Interp.IA x -> set_int fr di.dst (Array.unsafe_get x ix)
+        | Interp.FA x -> set_flt fr di.dst (Array.unsafe_get x ix))
+      | OStore ->
+        (* value, then index, then array — right-to-left like the oracle *)
+        eval_any rt fr di.ck di.c;
+        let vtag = rt.s_tag in
+        let vi = rt.s_int and vf = rt.s_flt in
+        let ix = geti rt fr di.bk di.b in
+        let a = geta rt fr di.ak di.a in
+        let len = arr_len a in
+        if ix < 0 || ix >= len then
+          trap "store out of bounds: index %d, length %d" ix len;
+        M.mem m (base + at) true (a.Interp.base + (ix * a.Interp.esize));
+        (match a.Interp.payload with
+        | Interp.IA x ->
+          if vtag = 1 then
+            Array.unsafe_set x ix
+              (if a.Interp.mask32 then vi land 0xFFFFFFFF else vi)
+          else trap "storing non-int into int array"
+        | Interp.FA x ->
+          if vtag = 2 then Array.unsafe_set x ix vf
+          else trap "storing non-float into float array")
+      | OAlen ->
+        let a = geta rt fr di.ak di.a in
+        set_int fr di.dst (arr_len a)
+      | OCall ->
+        M.long m (base + at) cls_call;
+        let args = di.args in
+        let nargs = Array.length args / 2 in
+        for j = 0 to nargs - 1 do
+          eval_any rt fr
+            (Array.unsafe_get args (2 * j))
+            (Array.unsafe_get args ((2 * j) + 1));
+          save_arg rt j
+        done;
+        if di.callee < 0 then trap "call to unknown function %s" di.sname;
+        do_call rt m di.callee nargs;
+        if di.dst >= 0 then set_scratch rt fr di.dst
+      | OPrint ->
+        M.long m (base + at) cls_print;
+        eval_any rt fr di.ak di.a;
+        Buffer.add_string rt.buf
+          (match rt.s_tag with
+          | 1 -> string_of_int rt.s_int
+          | 2 -> Printf.sprintf "%.6g" rt.s_flt
+          | 3 -> if rt.s_int <> 0 then "true" else "false"
+          | _ -> "<array>");
+        Buffer.add_char rt.buf '\n'
+      | OJmp ->
+        M.jump m (base + at);
+        pc := di.dst
+      | OBr ->
+        let taken = getb rt fr di.ak di.a in
+        M.branch m (base + at) di.c taken;
+        pc := if taken then di.dst else di.b
+      | ORetN ->
+        M.jump m (base + at);
+        rt.s_tag <- 0;
+        running := false
+      | ORetV ->
+        M.jump m (base + at);
+        eval_any rt fr di.ak di.a;
+        running := false
+      | OBadLabel ->
+        raise
+          (Invalid_argument
+             (Printf.sprintf "Ir.find_block: no block %d in %s" di.a
+                fr.df.fname))
+    done
+
+  and do_call rt m fidx nargs : unit =
+    let df = rt.dp.funcs.(fidx) in
+    if nargs <> Array.length df.params then
+      trap "arity mismatch calling %s" df.fname;
+    let fr = new_frame rt.dp fidx in
+    bind_params rt fr nargs;
+    let saved_sp = rt.sp in
+    fr.locals <- alloc_locals rt df;
+    exec rt m fr;
+    rt.sp <- saved_sp
+
+  let run ~fuel (m : M.t) (dp : t) : Interp.result =
+    let rt = make_rt ~fuel dp in
+    if dp.main_idx < 0 then trap "call to unknown function %s" dp.main_name;
+    do_call rt m dp.main_idx 0;
+    result_of rt
+end
 
 (* ------------------------------------------------------------------ *)
 (* Entry points *)
 
+module Plain = Exec (struct
+  type t = unit
+
+  let long () _ _ = ()
+  let mem () _ _ _ = ()
+  let branch () _ _ _ = ()
+  let jump () _ = ()
+end)
+
 let run ?(fuel = Interp.default_fuel) (dp : t) : Interp.result =
-  let rt = make_rt ~fuel dp in
-  if dp.main_idx < 0 then trap "call to unknown function %s" dp.main_name;
-  do_call rt dp.main_idx 0;
-  result_of rt
+  Plain.run ~fuel () dp
 
 let run_program ?fuel (p : Ir.program) : Interp.result = run ?fuel (decode p)
 

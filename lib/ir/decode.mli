@@ -26,14 +26,23 @@
     would be sound only for well-typed lowered code, and the fuzzer
     feeds both engines deliberately broken programs.)
 
-    The flat engine is bit-identical to {!Interp.run} on return value,
-    printed output, [steps], and trap behaviour; the test suite and the
-    differential fuzzer enforce this.  {!Interp.run} remains the
-    semantics oracle.
+    {!Exec} is the one dispatch loop over the decoded form, with four
+    hooks for a machine model; {!run} is that loop with none, and
+    [Mach.Flatsim] supplies the cycle-level model.  The flat engine is
+    bit-identical to {!Interp.run} on return value, printed output,
+    [steps], and trap behaviour; the test suite and the differential
+    fuzzer enforce this.  {!Interp.run} remains the semantics oracle.
 
-    The decoded representation is exposed transparently so that
-    [Mach.Flatsim] (the cycle-level flat simulator) can drive its own
-    fused timing/accounting loop over the same bytecode. *)
+    One edge differs from the reference simulator, on ill-formed IR
+    only (a "bad reg" or "bad def" from {!Ir.check_program}): a
+    simple-issue op with a negative register id raises
+    [Invalid_argument] from its operand read or write, after any earlier
+    operand's trap, where the reference simulator raises it from its
+    issue stamps before reading an operand.
+
+    The decoded representation and the runtime are exposed transparently
+    so that [Mach.Mtrace] (trace generation) can drive its own loop over
+    the same bytecode. *)
 
 (** dense opcode: instruction kind and sub-operation in one constructor *)
 type op =
@@ -80,6 +89,31 @@ val k_lunk : int
 (** operand absent *)
 val k_none : int
 
+(** {2 Latency classes}
+
+    The [cls] argument of {!MODEL.long}: which configured latency a
+    long op pays.  [Mach.Mtrace]'s long-run events use the same
+    numbers. *)
+
+val cls_mul : int    (** Mul *)
+
+val cls_div : int    (** Div and Rem *)
+
+val cls_fadd : int   (** FP add/sub/compare and int/float conversions *)
+
+val cls_fmul : int
+val cls_fdiv : int
+val cls_call : int
+val cls_print : int
+
+val cls_jump : int   (** Jmp and Ret; {!MODEL.jump} fires for these *)
+
+val cls_count : int
+
+(** single-cycle ALU ops (Add/Sub/logic/shifts, Icmp, Not, Mov, Alen),
+    which fire no hook; every other op but [OBadLabel] fires one *)
+val is_simple : op -> bool
+
 type dinstr = {
   op : op;
   dst : int;  (** destination register ([-1] = none), or branch target pc *)
@@ -101,6 +135,8 @@ type dfunc = {
   nregs : int;
   code : dinstr array;
   entry_pc : int;
+  base : int;  (** global code offset of [code.(0)]: functions are laid
+                   end to end in [funcs] order *)
   locals : (string * Ir.elt * int) array;  (** frame arrays, decl order *)
 }
 
@@ -117,23 +153,18 @@ type t = {
 
 val decode : Ir.program -> t
 
-(** static instruction slots (instructions + terminators), for stats *)
+(** static instruction slots (instructions + terminators): one past the
+    largest global code offset *)
 val code_size : t -> int
 
-(** the global-array table {!run} executes against, with the same base
-    addresses as the reference engine; exposed for [Mach.Flatsim] *)
-val init_globals : t -> Interp.arr array
-
 val arr_len : Interp.arr -> int
-val dummy_arr : Interp.arr
 
 (** {2 Runtime internals}
 
-    Exposed so that [Mach.Flatsim] can write its own dispatch loop — with
-    timing and counter accounting fused into every arm — over the same
-    frames and operand accessors, instead of paying five closure hooks
-    per instruction.  Everything here preserves the reference engine's
-    trap messages and evaluation order exactly. *)
+    Exposed so that [Mach.Mtrace] can write its own dispatch loop over
+    the same frames and operand accessors.  Everything here preserves
+    the reference engine's trap messages and evaluation order
+    exactly. *)
 
 (** per-activation register file: [tags.(r)] is 0 undef / 1 int /
     2 float / 3 bool / 4 array, with the payload in the matching array
@@ -191,13 +222,6 @@ val getf : rt -> frame -> int -> int -> float
 val getb : rt -> frame -> int -> int -> bool
 val geta : rt -> frame -> int -> int -> Interp.arr
 
-(** the operand's dynamic tag, trapping on undef / unknown names
-    ([Icmp]'s bool-vs-int dispatch needs the tag before any conversion) *)
-val stag : rt -> frame -> int -> int -> int
-
-(** bool payload when {!stag} already returned 3 *)
-val getbp : frame -> int -> int -> bool
-
 (** evaluate an operand of any type into the [s_*] scratch cell *)
 val eval_any : rt -> frame -> int -> int -> unit
 
@@ -216,13 +240,44 @@ val result_of : rt -> Interp.result
 
 val shift_ok : int -> bool
 
-(** the [Icmp]/[Fcmp] arms (shared with the flat simulator); the int
+(** the [Icmp]/[Fcmp] arms (shared with trace generation); the int
     selects the comparison: 0 eq, 1 ne, 2 lt, 3 le, 4 gt, 5 ge *)
 val do_icmp : rt -> frame -> dinstr -> int -> unit
 
 val do_fcmp : rt -> frame -> dinstr -> int -> unit
 
-(** Execute a decoded program (plain interpretation, no machine model).
+(** {2 The dispatch loop} *)
+
+(** A machine model's hooks.  [gpc] is the op's global code offset
+    ([base] + pc), so a model can keep per-op tables as flat arrays.
+    Simple-issue ops ({!is_simple}) fire no hook, and [OBadLabel] none.
+
+    - [long m gpc cls]: Mul, Div, Rem, FP ops, conversions, Call and
+      Print, before any operand is read (a call's before its arguments);
+    - [mem m gpc write addr]: a load or store of byte address [addr],
+      after the bounds check and before a store's element-type check;
+    - [branch m gpc site taken]: a conditional branch, after its
+      condition is read;
+    - [jump m gpc]: Jmp and Ret, before a return operand is read. *)
+module type MODEL = sig
+  type t
+
+  val long : t -> int -> int -> unit
+  val mem : t -> int -> bool -> int -> unit
+  val branch : t -> int -> int -> bool -> unit
+  val jump : t -> int -> unit
+end
+
+module Exec (M : MODEL) : sig
+  (** Execute a decoded program, firing [M]'s hooks on the given model
+      state.  Returns what {!run} does.
+      @raise Interp.Trap on runtime errors
+      @raise Interp.Out_of_fuel when the step budget is exhausted *)
+  val run : fuel:int -> M.t -> t -> Interp.result
+end
+
+(** Execute a decoded program (plain interpretation: {!Exec} over a
+    model whose hooks do nothing).
     Bit-identical to {!Interp.run} with {!Interp.no_hooks}.
     @raise Interp.Trap on runtime errors
     @raise Interp.Out_of_fuel when the step budget is exhausted *)

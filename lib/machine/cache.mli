@@ -49,9 +49,10 @@ type outcome = {
 (** one access at a byte address; [write] marks the line dirty *)
 val access : t -> addr:int -> write:bool -> outcome
 
-(** {2 Allocation-free variant} — the per-event hot loops (the fused
-    simulator and the trace replay) make one or two cache accesses per
-    memory event, so the [outcome] record is measurable there. *)
+(** {2 Allocation-free variant} — the per-event hot loops (the flat
+    simulator's model and the trace replay) make one or two cache
+    accesses per memory event, so the [outcome] record is measurable
+    there. *)
 
 (** result of {!access_fast} when the line was resident *)
 val hit : int

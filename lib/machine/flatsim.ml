@@ -1,14 +1,12 @@
 module Interp = Mira.Interp
 module D = Mira.Decode
 
-(* Cycle-level simulator over Decode bytecode, with Sim's accounting
-   fused into the dispatch arms.  See flatsim.mli for the contract; the
-   execution arms mirror Decode.exec and the accounting mirrors
-   Sim.on_instr / on_branch / hooks_of, both line for line.  The
-   reference calls on_instr *before* evaluating operands, evaluates a
-   Br condition *before* on_branch, and fires on_jump for Ret *before*
-   evaluating the return operand — the arm ordering below preserves all
-   of that, so counters and cycles match even on trapping runs. *)
+(* Cycle-level simulator over Decode bytecode: Sim's machine model as
+   the hooks of Decode.Exec, the one dispatch loop.  See flatsim.mli for
+   the contract.  The accounting mirrors Sim.on_instr / on_branch /
+   hooks_of; Decode.Exec fires each hook where the reference fires its
+   accounting relative to the semantics, so a run's cycles and counters
+   match Sim's whenever the run finishes. *)
 
 type result = {
   cycles : int;
@@ -72,11 +70,11 @@ let mk_mt (cfg : Config.t) : mt =
   }
 
 (* Raw counter-bank slots (resolved once via Counters.to_index) bumped
-   through a tiny helper the compiler inlines: the fused loop touches
-   counters several times per instruction, so the [Counters.incr] call
-   pair (incr + to_index) is measurable at this granularity.  Every
-   index is < Counters.count = bank length, so the unsafe accesses are
-   in bounds. *)
+   through a tiny helper the compiler inlines: the model touches
+   counters once or more per memory access and branch, so the
+   [Counters.incr] call pair (incr + to_index) is measurable at this
+   granularity.  Every index is < Counters.count = bank length, so the
+   unsafe accesses are in bounds. *)
 let c_tot_ins = Counters.to_index Counters.TOT_INS
 let c_ld_ins = Counters.to_index Counters.LD_INS
 let c_sr_ins = Counters.to_index Counters.SR_INS
@@ -100,47 +98,19 @@ let c_l2_stm = Counters.to_index Counters.L2_STM
 let[@inline] bump (b : Counters.bank) i =
   Array.unsafe_set b i (Array.unsafe_get b i + 1)
 
-let ensure_stamp mt r =
-  if r >= Array.length mt.stamps then begin
-    let n = Array.make (max (r + 1) (2 * Array.length mt.stamps)) 0 in
-    Array.blit mt.stamps 0 n 0 (Array.length mt.stamps);
-    mt.stamps <- n
-  end
-
 let[@inline] close_bundle mt =
   if mt.bundle > 0 then mt.cycles <- mt.cycles + 1;
   mt.bundle <- 0;
   mt.bundle_id <- mt.bundle_id + 1
 
-(* Sim.issue_simple over the decoder's precomputed use array; [d] is the
-   defined register (simple ops always have one).  The stamp reads stay
-   bounds-checked: a malformed register index must raise the same
-   Invalid_argument the reference's [st.stamps.(r)] does. *)
-let[@inline] issue_simple mt (uses : int array) (d : int) =
-  let stamps = mt.stamps in
-  let slen = Array.length stamps in
-  let dep = ref false in
-  for i = 0 to Array.length uses - 1 do
-    let r = Array.unsafe_get uses i in
-    if r < slen && stamps.(r) = mt.bundle_id then dep := true
-  done;
-  if !dep then close_bundle mt;
-  mt.bundle <- mt.bundle + 1;
-  ensure_stamp mt d;
-  mt.stamps.(d) <- mt.bundle_id;
-  if mt.bundle >= mt.issue_width then close_bundle mt
-
-(* issue_simple for callers that pre-sized [stamps] past every register
-   id they will present and guarantee the ids are non-negative — the
-   replay fold, which knows the trace's maximum register up front.  The
-   use array is flattened to two scalar slots (simple-issue ops read at
-   most two registers); an absent use points at a sentinel stamp slot
-   that is never written, so — with [bundle_id] starting at 1 over
-   zeroed stamps — it can never register a dependence.  Semantics are
-   those of [issue_simple] minus the growth check and the
-   malformed-register Invalid_argument (the decoder never emits negative
-   slots for simple-issue ops, so the two agree on every decodable
-   program; the three-way differential fuzzer holds them to it). *)
+(* Sim.issue_simple for the replay fold, which pre-sizes [stamps] past
+   every register id the trace presents.  No replayed id is negative: a
+   simple op with a negative register id raises when trace generation
+   executes it, so no finished trace holds its event.  The use
+   array is flattened to two scalar slots (simple-issue ops read at most
+   two registers); an absent use points at a sentinel stamp slot that is
+   never written, so — with [bundle_id] starting at 1 over zeroed
+   stamps — it can never register a dependence. *)
 let[@inline] issue_simple_pre mt (u0 : int) (u1 : int) (d : int) =
   let stamps = mt.stamps in
   let bid = mt.bundle_id in
@@ -268,321 +238,176 @@ let mem_access mt ~write addr =
     issue_long mt !lat
   end
 
-let rec exec (rt : D.rt) (mt : mt) (fr : D.frame) : unit =
-  let code = fr.D.df.D.code in
-  let bank = mt.bank in
-  let pc = ref fr.D.df.D.entry_pc in
-  let running = ref true in
-  while !running do
-    let di = Array.unsafe_get code !pc in
-    rt.D.fuel <- rt.D.fuel - 1;
-    rt.D.steps <- rt.D.steps + 1;
-    if rt.D.fuel <= 0 then raise Interp.Out_of_fuel;
-    incr pc;
-    match di.D.op with
-    | D.OAdd ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a + b)
-    | D.OSub ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a - b)
-    | D.OMul ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      bump bank c_mul_ins;
-      issue_long mt mt.lat_mul;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a * b)
-    | D.ODiv ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      bump bank c_div_ins;
-      issue_long mt mt.lat_div;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      if b = 0 then D.trap "division by zero" else D.set_int fr di.D.dst (a / b)
-    | D.ORem ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      bump bank c_div_ins;
-      issue_long mt mt.lat_div;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      if b = 0 then D.trap "remainder by zero"
-      else D.set_int fr di.D.dst (a mod b)
-    | D.OAnd ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a land b)
-    | D.OOr ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a lor b)
-    | D.OXor ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a lxor b)
-    | D.OShl ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      if D.shift_ok b then D.set_int fr di.D.dst (a lsl b)
-      else D.trap "shift count %d" b
-    | D.OShr ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      if D.shift_ok b then D.set_int fr di.D.dst (a asr b)
-      else D.trap "shift count %d" b
-    | D.OFAdd ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fadd;
-      let b = D.getf rt fr di.D.bk di.D.b in
-      let a = D.getf rt fr di.D.ak di.D.a in
-      D.set_flt fr di.D.dst (a +. b)
-    | D.OFSub ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fadd;
-      let b = D.getf rt fr di.D.bk di.D.b in
-      let a = D.getf rt fr di.D.ak di.D.a in
-      D.set_flt fr di.D.dst (a -. b)
-    | D.OFMul ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fmul;
-      let b = D.getf rt fr di.D.bk di.D.b in
-      let a = D.getf rt fr di.D.ak di.D.a in
-      D.set_flt fr di.D.dst (a *. b)
-    | D.OFDiv ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fdiv;
-      let b = D.getf rt fr di.D.bk di.D.b in
-      let a = D.getf rt fr di.D.ak di.D.a in
-      D.set_flt fr di.D.dst (a /. b)
-    | D.OIeq ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      D.do_icmp rt fr di 0
-    | D.OIne ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      D.do_icmp rt fr di 1
-    | D.OIlt ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      D.do_icmp rt fr di 2
-    | D.OIle ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      D.do_icmp rt fr di 3
-    | D.OIgt ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      D.do_icmp rt fr di 4
-    | D.OIge ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      D.do_icmp rt fr di 5
-    | D.OFeq ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fadd;
-      D.do_fcmp rt fr di 0
-    | D.OFne ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fadd;
-      D.do_fcmp rt fr di 1
-    | D.OFlt ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fadd;
-      D.do_fcmp rt fr di 2
-    | D.OFle ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fadd;
-      D.do_fcmp rt fr di 3
-    | D.OFgt ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fadd;
-      D.do_fcmp rt fr di 4
-    | D.OFge ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fadd;
-      D.do_fcmp rt fr di 5
-    | D.ONot ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      let x = D.getb rt fr di.D.ak di.D.a in
-      D.set_bool fr di.D.dst (not x)
-    | D.OMov ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      D.eval_any rt fr di.D.ak di.D.a;
-      D.set_scratch rt fr di.D.dst
-    | D.OI2f ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fadd;
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_flt fr di.D.dst (float_of_int a)
-    | D.OF2i ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      issue_long mt mt.lat_fadd;
-      let f = D.getf rt fr di.D.ak di.D.a in
-      if Float.is_nan f || Float.abs f > 4.6e18 then
-        D.trap "float-to-int overflow on %g" f
-      else D.set_int fr di.D.dst (int_of_float f)
-    | D.OLoad ->
-      bump bank c_tot_ins;
-      bump bank c_ld_ins;
-      let ix = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geta rt fr di.D.ak di.D.a in
-      let len = D.arr_len a in
-      if ix < 0 || ix >= len then
-        D.trap "load out of bounds: index %d, length %d" ix len;
-      mem_access mt ~write:false (a.Interp.base + (ix * a.Interp.esize));
-      (match a.Interp.payload with
-      | Interp.IA x -> D.set_int fr di.D.dst (Array.unsafe_get x ix)
-      | Interp.FA x -> D.set_flt fr di.D.dst (Array.unsafe_get x ix))
-    | D.OStore ->
-      bump bank c_tot_ins;
-      bump bank c_sr_ins;
-      D.eval_any rt fr di.D.ck di.D.c;
-      let vtag = rt.D.s_tag in
-      let vi = rt.D.s_int and vf = rt.D.s_flt in
-      let ix = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geta rt fr di.D.ak di.D.a in
-      let len = D.arr_len a in
-      if ix < 0 || ix >= len then
-        D.trap "store out of bounds: index %d, length %d" ix len;
-      (* the cache sees the store before the element-type check, exactly
-         like the reference's on_store hook *)
-      mem_access mt ~write:true (a.Interp.base + (ix * a.Interp.esize));
-      (match a.Interp.payload with
-      | Interp.IA x ->
-        if vtag = 1 then
-          Array.unsafe_set x ix
-            (if a.Interp.mask32 then vi land 0xFFFFFFFF else vi)
-        else D.trap "storing non-int into int array"
-      | Interp.FA x ->
-        if vtag = 2 then Array.unsafe_set x ix vf
-        else D.trap "storing non-float into float array")
-    | D.OAlen ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      issue_simple mt di.D.uses di.D.dst;
-      let a = D.geta rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (D.arr_len a)
-    | D.OCall ->
-      bump bank c_tot_ins;
-      bump bank c_call_ins;
-      issue_long mt mt.call_overhead;
-      let args = di.D.args in
-      let nargs = Array.length args / 2 in
-      for j = 0 to nargs - 1 do
-        D.eval_any rt fr
-          (Array.unsafe_get args (2 * j))
-          (Array.unsafe_get args ((2 * j) + 1));
-        D.save_arg rt j
-      done;
-      if di.D.callee < 0 then D.trap "call to unknown function %s" di.D.sname;
-      do_call rt mt di.D.callee nargs;
-      if di.D.dst >= 0 then D.set_scratch rt fr di.D.dst
-    | D.OPrint ->
-      bump bank c_tot_ins;
-      issue_long mt mt.print_cost;
-      D.eval_any rt fr di.D.ak di.D.a;
-      Buffer.add_string rt.D.buf
-        (match rt.D.s_tag with
-        | 1 -> string_of_int rt.D.s_int
-        | 2 -> Printf.sprintf "%.6g" rt.D.s_flt
-        | 3 -> if rt.D.s_int <> 0 then "true" else "false"
-        | _ -> "<array>");
-      Buffer.add_char rt.D.buf '\n'
-    | D.OJmp ->
-      issue_long mt mt.jump_cost;
-      pc := di.D.dst
-    | D.OBr ->
-      (* condition evaluates (and may trap) before any branch
-         accounting, like the reference's [as_bool] before on_branch *)
-      let taken = D.getb rt fr di.D.ak di.D.a in
-      bump bank c_br_ins;
-      if taken then bump bank c_br_tkn;
-      branch mt di.D.c ~taken;
-      pc := if taken then di.D.dst else di.D.b
-    | D.ORetN ->
-      issue_long mt mt.jump_cost;
-      rt.D.s_tag <- 0;
-      running := false
-    | D.ORetV ->
-      (* on_jump fires before the return operand is evaluated *)
-      issue_long mt mt.jump_cost;
-      D.eval_any rt fr di.D.ak di.D.a;
-      running := false
-    | D.OBadLabel ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf "Ir.find_block: no block %d in %s" di.D.a
-              fr.D.df.D.fname))
-  done
+(* per-config latency table, indexed by Decode's latency classes: the
+   flat model's [long] hook and the replay fold both price a class
+   through it *)
+let lat_table (mt : mt) : int array =
+  let t =
+    [|
+      mt.lat_mul;
+      mt.lat_div;
+      mt.lat_fadd;
+      mt.lat_fmul;
+      mt.lat_fdiv;
+      mt.call_overhead;
+      mt.print_cost;
+      mt.jump_cost;
+    |]
+  in
+  assert (Array.length t = D.cls_count);
+  t
 
-and do_call (rt : D.rt) (mt : mt) fidx nargs : unit =
-  let df = rt.D.dp.D.funcs.(fidx) in
-  if nargs <> Array.length df.D.params then
-    D.trap "arity mismatch calling %s" df.D.fname;
-  let fr = D.new_frame rt.D.dp fidx in
-  D.bind_params rt fr nargs;
-  let saved_sp = rt.D.sp in
-  fr.D.locals <- D.alloc_locals rt df;
-  exec rt mt fr;
-  rt.D.sp <- saved_sp
+(* ------------------------------------------------------------------ *)
+(* The flat engine's model.
+
+   Simple-issue ops fire no hook.  Every run of them starts in the same
+   issue state, an empty bundle with a fresh id, because it follows an
+   op that closes the bundle (a long op, a memory access, a branch, a
+   jump or return, a call's overhead) or the program start.  So a run's
+   cycles depend only on its instructions and the issue width: [plan]
+   computes them once per [run], and the op that ends the run charges
+   them.  A block's class counters (TOT_INS, INT/FP/MUL/DIV, LD/SR,
+   CALL, BR_INS) are static too: the hooks count each terminator's
+   executions, and [charge_blocks] folds the counts into the bank when
+   the run finishes.
+
+   Both are exact for every run that finishes.  A run that traps or
+   runs out of fuel raises out of [run], and its partial cycles and
+   counters go with it. *)
+
+(* gpc -> cycles of the run of simple-issue ops that the op at gpc ends:
+   Sim.issue_simple from a fresh bundle, plus the drain of the last
+   partial bundle that the ending op's close_bundle pays.  The current
+   bundle's defined registers are kept as a list, so a register id —
+   negative or past [nregs] — is only ever compared, never an index. *)
+let plan (dp : D.t) ~(width : int) : int array =
+  let cyc = Array.make (D.code_size dp) 0 in
+  Array.iter
+    (fun (df : D.dfunc) ->
+      let cycles = ref 0 and bundle = ref 0 and defs = ref [] in
+      let close () =
+        if !bundle > 0 then incr cycles;
+        bundle := 0;
+        defs := []
+      in
+      Array.iteri
+        (fun pc (di : D.dinstr) ->
+          if D.is_simple di.D.op then begin
+            if Array.exists (fun (r : int) -> List.exists (( = ) r) !defs)
+                 di.D.uses
+            then close ();
+            incr bundle;
+            defs := di.D.dst :: !defs;
+            if !bundle >= width then close ()
+          end
+          else begin
+            close ();
+            cyc.(df.D.base + pc) <- !cycles;
+            cycles := 0
+          end)
+        df.D.code)
+    dp.D.funcs;
+  cyc
+
+(* add every op's class counters, times the executions of its block's
+   terminator.  Decode lays a block out as its instructions then its
+   terminator, so walking a function backwards meets each block's
+   terminator before the block's instructions. *)
+let charge_blocks (dp : D.t) (visits : int array) (bank : Counters.bank) =
+  let add i n = Array.unsafe_set bank i (Array.unsafe_get bank i + n) in
+  Array.iter
+    (fun (df : D.dfunc) ->
+      let n = ref 0 in
+      for pc = Array.length df.D.code - 1 downto 0 do
+        let k = !n in
+        match df.D.code.(pc).D.op with
+        | D.OJmp | D.ORetN | D.ORetV -> n := visits.(df.D.base + pc)
+        | D.OBr ->
+          n := visits.(df.D.base + pc);
+          add c_br_ins !n
+        | D.OBadLabel -> n := 0
+        | D.OAdd | D.OSub | D.OAnd | D.OOr | D.OXor | D.OShl | D.OShr
+        | D.OIeq | D.OIne | D.OIlt | D.OIle | D.OIgt | D.OIge | D.ONot
+        | D.OMov | D.OAlen ->
+          add c_tot_ins k;
+          add c_int_ins k
+        | D.OMul ->
+          add c_tot_ins k;
+          add c_int_ins k;
+          add c_mul_ins k
+        | D.ODiv | D.ORem ->
+          add c_tot_ins k;
+          add c_int_ins k;
+          add c_div_ins k
+        | D.OFAdd | D.OFSub | D.OFMul | D.OFDiv | D.OFeq | D.OFne | D.OFlt
+        | D.OFle | D.OFgt | D.OFge | D.OI2f | D.OF2i ->
+          add c_tot_ins k;
+          add c_fp_ins k
+        | D.OLoad ->
+          add c_tot_ins k;
+          add c_ld_ins k
+        | D.OStore ->
+          add c_tot_ins k;
+          add c_sr_ins k
+        | D.OCall ->
+          add c_tot_ins k;
+          add c_call_ins k
+        | D.OPrint -> add c_tot_ins k
+      done)
+    dp.D.funcs
+
+type model = {
+  mt : mt;
+  cyc : int array;  (* [plan] *)
+  lat : int array;  (* [lat_table] *)
+  visits : int array;  (* gpc -> executions of the terminator there *)
+}
+
+(* Every gpc Decode.Exec passes is below [D.code_size], the length of
+   [cyc] and [visits], and every class below [D.cls_count], the length
+   of [lat]: the unsafe reads are in bounds. *)
+module Model = struct
+  type t = model
+
+  let long m gpc cls =
+    let mt = m.mt in
+    mt.cycles <-
+      mt.cycles + Array.unsafe_get m.cyc gpc + Array.unsafe_get m.lat cls
+
+  let mem m gpc write addr =
+    let mt = m.mt in
+    mt.cycles <- mt.cycles + Array.unsafe_get m.cyc gpc;
+    mem_access mt ~write addr
+
+  (* the model-wide [branch] above does the predictor and BR_MSP *)
+  let branch m gpc site taken =
+    let mt = m.mt in
+    mt.cycles <- mt.cycles + Array.unsafe_get m.cyc gpc;
+    Array.unsafe_set m.visits gpc (Array.unsafe_get m.visits gpc + 1);
+    if taken then bump mt.bank c_br_tkn;
+    branch mt site ~taken
+
+  let jump m gpc =
+    let mt = m.mt in
+    mt.cycles <- mt.cycles + Array.unsafe_get m.cyc gpc + mt.jump_cost;
+    Array.unsafe_set m.visits gpc (Array.unsafe_get m.visits gpc + 1)
+end
+
+module Run = D.Exec (Model)
 
 let run ~(config : Config.t) ~(fuel : int) (dp : D.t) : result =
-  let rt = D.make_rt ~fuel dp in
   let mt = mk_mt config in
-  if dp.D.main_idx < 0 then
-    D.trap "call to unknown function %s" dp.D.main_name;
-  do_call rt mt dp.D.main_idx 0;
+  let m =
+    {
+      mt;
+      cyc = plan dp ~width:mt.issue_width;
+      lat = lat_table mt;
+      visits = Array.make (D.code_size dp) 0;
+    }
+  in
+  let r = Run.run ~fuel m dp in
+  charge_blocks dp m.visits mt.bank;
   finish mt;
-  let r = D.result_of rt in
   {
     cycles = mt.cycles;
     counters = mt.bank;

@@ -1,23 +1,37 @@
 (** Cycle-level simulation of a pre-decoded program.
 
     The flat counterpart of {!Sim}: instead of hanging five closure
-    hooks off the reference interpreter, this module runs its own
-    dispatch loop over {!Mira.Decode} bytecode with the timing and
-    counter accounting fused directly into every opcode arm — no hook
-    dispatch, no boxed values, no per-instruction [uses_of] allocation
-    (the decoder precomputed the use arrays the issue model needs).
+    hooks off the reference interpreter, this module is the machine
+    model of {!Mira.Decode.Exec}, the one dispatch loop over
+    {!Mira.Decode} bytecode.  The loop fires the model only at long ops,
+    memory accesses, conditional branches, and jumps and returns; simple
+    ALU ops cost nothing as they execute:
+
+    - each run of simple-issue ops is charged its bundle cycles by the
+      op that ends it, from a table built per (program, issue width)
+      when {!run} starts.  Exact because every such run starts from an
+      empty bundle: it follows an op that closes one, or the program
+      start;
+    - each block's instruction-class counters are charged once per
+      execution of its terminator, and folded into the bank when the run
+      finishes.
 
     The model itself is {e identical} to {!Sim}'s: same bundle issue
     rules, same cache hierarchy and predictor state evolution, same
-    counter increments in the same order, and the accounting fires at
-    the same points relative to operand evaluation as the reference
-    hooks (e.g. an instruction's class counters are charged before its
-    operands can trap, a store's cache access happens before its
-    element-type check).  The differential tests compare cycles and the
-    full counter bank against {!Sim} run with the reference engine.
+    counter totals, and the hooks fire at the same points relative to
+    operand evaluation as the reference hooks (a store's cache access
+    happens before its element-type check, a call's overhead before its
+    arguments are evaluated).  The differential tests compare cycles and
+    the full counter bank against {!Sim} run with the reference engine.
 
-    The dispatch loop mirrors [Decode.exec]; a semantics change there
-    needs a mirror change here. *)
+    Cycles and counters exist only for a run that finishes: a trap or
+    fuel exhaustion raises, and the partial accounting is dropped.  One
+    edge differs from {!Sim}'s reference engine, on ill-formed IR only
+    (a "bad reg" or "bad def" from {!Mira.Ir.check_program}): a
+    simple-issue op with a negative register id raises
+    [Invalid_argument] from its operand read or write, after any earlier
+    operand's trap, where the reference raises it from its issue stamps
+    before any operand is read. *)
 
 type result = {
   cycles : int;
@@ -32,13 +46,10 @@ type result = {
     @raise Mira.Interp.Out_of_fuel when the step budget is exhausted *)
 val run : config:Config.t -> fuel:int -> Mira.Decode.t -> result
 
-(** {2 Machine-model internals}
+(** {2 Machine-model state}
 
     Exposed so that {!Replay} folds a recorded event trace through the
-    {e same} accounting code this module's fused loop runs — one
-    implementation of the issue model, memory hierarchy and predictor,
-    shared by both engines, so bit-identity is structural rather than
-    maintained by mirroring. *)
+    same cache, predictor and latency code this module's hooks run. *)
 
 (** timing state; machine parameters pre-extracted from {!Config.t} so
     the hot loop reads flat record fields *)
@@ -70,21 +81,9 @@ type mt = {
 (** fresh model state (cold caches, weakly-taken predictor) for a config *)
 val mk_mt : Config.t -> mt
 
-(** issue a simple single-cycle op given the registers it reads and the
-    register it defines (the decoder's precomputed [uses]/[dst]) *)
-val issue_simple : mt -> int array -> int -> unit
-
-(** a long-latency or serializing op: close the bundle, pay [lat] *)
-val issue_long : mt -> int -> unit
-
-(** one access through the L1D/L2 hierarchy, bumping the cache counters
-    and paying the config's latencies *)
-val mem_access : mt -> write:bool -> int -> unit
-
-(** config-dependent half of a conditional branch: predictor update,
-    BR_MSP on a miss, branch cost (+ penalty).  BR_INS/BR_TKN are the
-    caller's, being config-independent. *)
-val branch : mt -> int -> taken:bool -> unit
+(** the config's latency per latency class ({!Mira.Decode.cls_mul} ..
+    {!Mira.Decode.cls_jump}) *)
+val lat_table : mt -> int array
 
 (** drain the trailing partially-filled bundle and pin TOT_CYC *)
 val finish : mt -> unit
@@ -93,8 +92,8 @@ val finish : mt -> unit
 
     {!Replay}'s hot loops, hosted in this compilation unit so the
     per-event model calls above are direct and inlinable without
-    flambda.  [events.(0 .. n-1)] are {!Mtrace}-packed words; [lat] maps
-    a latency class ([Mtrace.cls_*]) to the config's latency.
+    flambda.  [events.(0 .. n-1)] are {!Mtrace}-packed words; [lat] is
+    the config's {!lat_table}.
     [sig_u0]/[sig_u1]/[sig_dst] are the trace's flattened signature
     columns; the caller must pre-size the mt's [stamps] past every
     register id they hold (see [Mtrace.max_reg]). *)

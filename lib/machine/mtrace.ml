@@ -2,14 +2,14 @@ module Interp = Mira.Interp
 module D = Mira.Decode
 
 (* Trace-once half of the trace-once/model-many split (see DESIGN.md
-   "Trace-once, model-many").  This is Flatsim's dispatch loop with the
-   config-dependent accounting calls replaced by event emission: one run
-   of a decoded program records everything the machine model consumes —
-   instruction-class retirements with their use-arrays, load/store byte
-   addresses, branch sites with taken bits, call/print/jump serializers
-   — as one packed int per event, in the exact order Flatsim's fused
-   loop would have fed its model.  Replay folds that stream through the
-   same model code (Flatsim's exported internals) once per config.
+   "Trace-once, model-many").  This is Decode.Exec's dispatch loop with
+   event emission in place of the model hooks, plus an event per
+   simple-issue op: one run of a decoded program records everything the
+   machine model consumes — instruction-class retirements with their
+   use-arrays, load/store byte addresses, branch sites with taken bits,
+   call/print/jump serializers — as one packed int per event, in
+   program order.  Replay folds that stream through Flatsim's model code
+   once per config.
 
    Nothing here reads Config.t: the dynamic instruction and memory
    reference stream of a program is a property of the program alone, so
@@ -19,10 +19,10 @@ module D = Mira.Decode
    the config-dependent ones (TOT_CYC, BR_MSP, cache counters) to the
    replay pass.
 
-   The execution arms mirror Flatsim.exec line for line; in particular
-   every event is emitted at the point Flatsim would have charged it, so
-   a trapping run leaves exactly the prefix of events the fused loop
-   would have accounted before the trap. *)
+   The execution arms mirror Decode.Exec line for line; in particular
+   every event is emitted where Decode.Exec fires the matching hook (a
+   simple op's before its operands are read), so a trapping run leaves
+   exactly the prefix of events accounted before the trap. *)
 
 (* ------------------------------------------------------------------ *)
 (* Event encoding: one int per word, tag in the low 2 bits.
@@ -55,16 +55,17 @@ let run_max = 1 lsl run_bits
 let cls_bits = 3
 let lrun_max = 1 lsl 20
 
-(* latency classes for tag_long events, in Config.t terms *)
-let cls_mul = 0 (* lat_mul *)
-let cls_div = 1 (* lat_div *)
-let cls_fadd = 2 (* lat_fadd: FP add/sub/cmp, conversions *)
-let cls_fmul = 3 (* lat_fmul *)
-let cls_fdiv = 4 (* lat_fdiv *)
-let cls_call = 5 (* call_overhead *)
-let cls_print = 6 (* print_cost *)
-let cls_jump = 7 (* jump_cost: Jmp / Ret *)
-let cls_count = 8
+(* latency classes for tag_long events: Decode's, priced per config by
+   Flatsim.lat_table *)
+let cls_mul = D.cls_mul
+let cls_div = D.cls_div
+let cls_fadd = D.cls_fadd
+let cls_fmul = D.cls_fmul
+let cls_fdiv = D.cls_fdiv
+let cls_call = D.cls_call
+let cls_print = D.cls_print
+let cls_jump = D.cls_jump
+let cls_count = D.cls_count
 
 type outcome = Finished | Trapped of string | Exhausted
 
@@ -180,18 +181,11 @@ let[@inline] emit_branch g site taken =
   flush_lrun g;
   emit g ((((site lsl 1) lor if taken then 1 else 0) lsl 2) lor tag_branch)
 
-let is_simple (op : D.op) =
-  match op with
-  | D.OAdd | D.OSub | D.OAnd | D.OOr | D.OXor | D.OShl | D.OShr | D.OIeq
-  | D.OIne | D.OIlt | D.OIle | D.OIgt | D.OIge | D.ONot | D.OMov | D.OAlen ->
-    true
-  | _ -> false
-
 let mk_gt (dp : D.t) : gt =
   let nsig = ref 0 in
   Array.iter
     (fun (df : D.dfunc) ->
-      Array.iter (fun di -> if is_simple di.D.op then incr nsig) df.D.code)
+      Array.iter (fun di -> if D.is_simple di.D.op then incr nsig) df.D.code)
     dp.D.funcs;
   let sig_uses = Array.make (max 1 !nsig) [||] in
   let sig_dst = Array.make (max 1 !nsig) (-1) in
@@ -204,7 +198,7 @@ let mk_gt (dp : D.t) : gt =
       (fun (df : D.dfunc) ->
         Array.map
           (fun di ->
-            if is_simple di.D.op then begin
+            if D.is_simple di.D.op then begin
               let id = !next in
               incr next;
               sig_uses.(id) <- di.D.uses;
@@ -249,9 +243,10 @@ let[@inline] bump (b : Counters.bank) i =
   Array.unsafe_set b i (Array.unsafe_get b i + 1)
 
 (* ------------------------------------------------------------------ *)
-(* The dispatch loop: Flatsim.exec with accounting replaced by events.
-   A semantics change in Decode.exec / Flatsim.exec needs a mirror
-   change here (the differential tests catch divergence). *)
+(* The dispatch loop: Decode.Exec with the hooks replaced by events and
+   the config-independent counters bumped per op.  A semantics change
+   in Decode.Exec needs a mirror change here (the differential tests
+   catch divergence). *)
 
 let rec exec (rt : D.rt) (g : gt) (fr : D.frame) (sigrow : int array) : unit =
   let code = fr.D.df.D.code in

@@ -1,12 +1,11 @@
 (** Trace generation: the "trace once" half of trace-once/model-many.
 
-    One run of {!Flatsim}'s dispatch loop over a decoded program,
-    recording the model-relevant event stream — instruction-class
+    One run of {!Mira.Decode.Exec}'s dispatch loop over a decoded
+    program, recording the model-relevant event stream — instruction-class
     retirements with their use-arrays, load/store byte addresses, branch
     sites with taken bits, call/print/jump serializers — as one packed
-    int per event, in the exact order the fused loop would have fed its
-    machine model.  {!Replay} then folds that stream through the
-    config-dependent accounting once per machine config.
+    int per event, in program order.  {!Replay} then folds that stream
+    through the config-dependent accounting once per machine config.
 
     Nothing here reads {!Config.t}: a program's dynamic instruction and
     memory-reference stream is a property of the program alone, so one
@@ -16,10 +15,11 @@
     into {!field:t.base}; only TOT_CYC, BR_MSP and the cache counters
     are left to the replay pass.
 
-    The execution arms mirror [Flatsim.exec] line for line, and every
-    event is emitted at the point the fused loop would have charged it —
-    so a trapping or fuel-exhausted run leaves exactly the prefix of
-    events {!Flatsim} would have accounted before stopping. *)
+    The execution arms mirror [Decode.Exec] line for line, and every
+    event is emitted where that loop fires the matching model hook (a
+    simple op's before its operands are read) — so a trapping or
+    fuel-exhausted run leaves exactly the prefix of events accounted
+    before stopping. *)
 
 (** {2 Event encoding}
 
@@ -52,7 +52,8 @@ val cls_bits : int
 (** width of the latency-class field in a {!tag_long} word; the run
     length occupies the bits above it *)
 
-(** latency classes for {!tag_long} events, in {!Config.t} terms *)
+(** latency classes for {!tag_long} events: {!Mira.Decode}'s
+    [cls_*], priced per config by {!Flatsim.lat_table} *)
 
 val cls_mul : int    (** [lat_mul] *)
 
@@ -107,7 +108,7 @@ val outcome_repr : outcome -> string
 
 (** Trace one execution of a decoded program.  Traps and fuel
     exhaustion are captured into {!field:t.outcome}; only malformed-label
-    [Invalid_argument] (and a missing [main]'s trap) escape, as in
+    [Invalid_argument] (and a missing [main]'s trap) escape, as from
     {!Flatsim.run}. *)
 val generate : ?fuel:int -> Mira.Decode.t -> t
 

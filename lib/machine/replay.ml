@@ -2,9 +2,11 @@ module Interp = Mira.Interp
 
 (* Model-many half of the trace-once/model-many split: fold a recorded
    event stream (Mtrace) through the config-dependent machine model.
-   The accounting code is Flatsim's own exported internals — issue_simple
-   / issue_long / mem_access / branch / finish over the same mt state —
-   so agreement with the fused simulator is structural, not mirrored.
+   The fold runs in Flatsim's unit, over Flatsim's own mt state, cache,
+   predictor and latency code, so those agree with the flat engine
+   structurally.  Bundle issue is Sim's per-op rule here
+   (Flatsim.issue_simple_pre) and a per-run table in the flat engine;
+   the three-way differential tests hold the two together.
 
    Per event the replay does one array read, a 2-bit tag dispatch and
    the model call; no operand evaluation, no register files, no fuel or
@@ -12,24 +14,6 @@ module Interp = Mira.Interp
    pre-accumulated in the trace's base bank and are merged at the end).
    That is what makes pricing a grid of configs against one trace cheap:
    the semantics ran once, at generation time. *)
-
-(* per-config latency table indexed by Mtrace.cls_*; keep in sync with
-   the class list there (cls_count pins the length) *)
-let lat_table (mt : Flatsim.mt) : int array =
-  let t =
-    [|
-      mt.Flatsim.lat_mul;
-      mt.Flatsim.lat_div;
-      mt.Flatsim.lat_fadd;
-      mt.Flatsim.lat_fmul;
-      mt.Flatsim.lat_fdiv;
-      mt.Flatsim.call_overhead;
-      mt.Flatsim.print_cost;
-      mt.Flatsim.jump_cost;
-    |]
-  in
-  assert (Array.length t = Mtrace.cls_count);
-  t
 
 (* establish the replay-fold precondition: stamps cover every register
    id the trace's signatures can present, plus the sentinel slot at
@@ -88,7 +72,7 @@ let run ~(config : Config.t) (tr : Mtrace.t) : Flatsim.result =
     (fun () ->
       let mt = Flatsim.mk_mt config in
       presize_stamps tr mt;
-      fold_events tr mt (lat_table mt);
+      fold_events tr mt (Flatsim.lat_table mt);
       finish_result tr mt)
 
 (* Price every config on the grid against the one trace: the semantics
@@ -108,7 +92,7 @@ let run_grid ~(configs : Config.t array) (tr : Mtrace.t) :
     (fun () ->
       let mts = Array.map Flatsim.mk_mt configs in
       Array.iter (presize_stamps tr) mts;
-      let lats = Array.map lat_table mts in
+      let lats = Array.map Flatsim.lat_table mts in
       Flatsim.replay_events_grid mts ~events:tr.Mtrace.events ~n:tr.Mtrace.n
         ~sig_u0:tr.Mtrace.sig_u0 ~sig_u1:tr.Mtrace.sig_u1
         ~sig_dst:tr.Mtrace.sig_dst ~lats;

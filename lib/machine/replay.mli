@@ -4,10 +4,13 @@
     config-dependent machine model — bundle issue, L1/L2 hierarchy,
     bimodal predictor, latencies — reproducing {!Flatsim.run}'s cycles
     and full counter bank bit-identically for any config, without
-    re-executing the program.  The accounting code is {!Flatsim}'s own
-    exported internals, so agreement is structural.
+    re-executing the program.  The fold runs {!Flatsim}'s own cache,
+    predictor and latency code over its {!Flatsim.mt} state, so those
+    agree structurally; bundle issue is replayed per simple op, where
+    the flat engine charges a per-run table, and the three-way
+    differential tests hold the two together.
 
-    A non-[Finished] trace re-raises the engine exception the fused
+    A non-[Finished] trace re-raises the engine exception the flat
     simulator would have raised ({!Mira.Interp.Trap} /
     {!Mira.Interp.Out_of_fuel}), before any model work. *)
 

@@ -259,8 +259,8 @@ let run_flatsim ~config ~fuel dp : result =
   Obs.Metrics.observe cycles_hist (float_of_int r.cycles);
   r
 
-(* Flat path: decode once (a "decode" span of its own), run the fused
-   loop under a "flatsim" span. *)
+(* Flat path: decode once (a "decode" span of its own), run Decode's
+   loop with Flatsim's model under a "flatsim" span. *)
 let run_flat ~config ~fuel (p : Ir.program) : result =
   run_flatsim ~config ~fuel (Mira.Decode.decode p)
 
@@ -302,8 +302,8 @@ let run ?engine ?(config = Config.default) ?(fuel = default_fuel)
   | Trace -> run_trace ~config ~fuel p
 
 (* Price one program against a whole architecture grid: one semantic
-   execution (trace generation), one model replay per config, all model
-   states advancing side by side in a single pass over the trace. *)
+   execution (trace generation), then one model replay per config, each
+   a sequential fold over the whole trace (Replay.run_grid). *)
 let run_grid ?(fuel = default_fuel) ~(configs : Config.t array)
     (p : Ir.program) : result array =
   let tr = Mtrace.generate ~fuel (Mira.Decode.decode p) in

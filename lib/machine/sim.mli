@@ -21,9 +21,10 @@ val default_fuel : int
 (** Which execution engine carries out the run.  All three are
     bit-identical (same results, traps, steps, cycles and counters —
     enforced by the three-way differential tests); [Flat] pre-decodes
-    the program into flat bytecode ({!Mira.Decode}) and runs the fused
-    loop ({!Flatsim}), roughly an order of magnitude faster than [Ref],
-    the original hooked interpreter kept as the semantics oracle.
+    the program into flat bytecode ({!Mira.Decode}) and runs it with
+    {!Flatsim}'s machine model, 4–7× [Ref]'s throughput in [bench micro]
+    (7.3× on adpcm under the simulator); [Ref] is the original hooked
+    interpreter, kept as the semantics oracle.
     [Trace] splits the run into {!Mtrace} generation (config-independent
     event trace) + {!Replay} (machine model folded over the trace) — the
     same result again, but repeated pricing of one program across

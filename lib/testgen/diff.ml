@@ -51,11 +51,12 @@ let diff_plain ?fuel (p : Mira.Ir.program) : string list =
 
 (* ------------------------------------------------------------------ *)
 (* Under the machine simulator: three-way, with the hooked reference
-   interpreter as the semantics-and-model oracle.  Flat (the fused
-   production engine) and Trace (Mtrace generation + Replay) are each
-   compared field-by-field against Ref; a trace-only disagreement means
-   the event encoding or the replay accounting drifted from the fused
-   loop, a both-engines disagreement points at the shared decode.
+   interpreter as the semantics-and-model oracle.  Flat (the production
+   engine: Decode.Exec with Flatsim's model) and Trace (Mtrace
+   generation + Replay) are each compared field-by-field against Ref; a
+   trace-only disagreement means the event encoding or the replay
+   accounting drifted from the flat engine's, a both-engines
+   disagreement points at the shared decode or model code.
    Messages carry the config name and the disagreeing engine, e.g.
    "cycles[c6713_like]: ref=412 trace=409". *)
 

@@ -7,7 +7,8 @@
 
    Three layers of evidence:
      - the whole workload suite, unoptimized and after the fixed
-       pipelines (every field compared);
+       pipelines (every field compared), and on issue widths no preset
+       uses;
      - 1000 generated programs, bare and after a per-seed random valid
        pass sequence (failures are shrunk to minimal reproducers);
      - hand-built programs (source- and raw-IR-level) that drive every
@@ -332,6 +333,43 @@ let test_fuel_boundary () =
         ref_exhausts flat_exhausts)
     [ steps - 1; steps; steps + 1 ]
 
+(* The documented edge on ill-formed IR (a "bad reg" in
+   Ir.check_program): a simple op with a negative register id raises
+   Invalid_argument on every engine, but the flat simulator reads the
+   op's operands first, like the plain engines, so an earlier operand's
+   trap wins there; the reference simulator raises from its issue stamps
+   before reading any operand. *)
+let test_negative_register_edge () =
+  let raises_invalid f =
+    match f () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let neg_def =
+    main_of ~nregs:1
+      [ (0, Ir.block ~instrs:[ Ir.Mov (-1, Ir.Cint 1) ] (Ir.Ret None)) ]
+  in
+  List.iter
+    (fun engine ->
+      Alcotest.(check bool)
+        (Mach.Sim.engine_name engine ^ ": negative def raises")
+        true
+        (raises_invalid (fun () -> Mach.Sim.run ~engine neg_def)))
+    [ Mach.Sim.Ref; Mach.Sim.Flat; Mach.Sim.Trace ];
+  let undef_then_neg =
+    main_of ~nregs:1
+      [ (0, Ir.block ~instrs:[ Ir.Bin (Ir.Add, 0, Ir.Reg (-1), Ir.Reg 0) ]
+           (Ir.Ret None)) ]
+  in
+  Alcotest.(check bool) "ref: stamp raises first" true
+    (raises_invalid (fun () ->
+         Mach.Sim.run ~engine:Mach.Sim.Ref undef_then_neg));
+  match Mach.Sim.run ~engine:Mach.Sim.Flat undef_then_neg with
+  | _ -> Alcotest.fail "expected a trap"
+  | exception Interp.Trap m ->
+    Alcotest.(check string) "flat: operand B traps first"
+      "main: read of undefined r0" m
+
 let test_cycles_of_outcomes () =
   let ok =
     compile {|fn main() -> int { return 7; }|}
@@ -358,6 +396,50 @@ let test_cycles_of_outcomes () =
   | Mach.Sim.Exhausted -> ()
   | _ -> Alcotest.fail "expected Exhausted"
 
+(* The flat engine prices each run of simple-issue ops from a table
+   built per issue width, and the presets cover widths 1, 3 and 8 only:
+   hold all three engines together on widths no preset uses, over the
+   suite and a block wide enough to fill a 16-wide bundle (the suite's
+   bundles never hold more than 8 ops). *)
+let test_other_issue_widths () =
+  let wide =
+    main_of ~nregs:40
+      [ (0, Ir.block
+           ~instrs:
+             (List.init 20 (fun i -> Ir.Mov (i, Ir.Cint i))
+             @ List.init 19 (fun i ->
+                   Ir.Bin (Ir.Add, 20 + i, Ir.Reg i, Ir.Reg (i + 1))))
+           (Ir.Ret (Some (Ir.Reg 38)))) ]
+  in
+  let programs =
+    ("20 independent moves", wide)
+    :: List.concat_map
+         (fun (w : Workloads.t) ->
+           let p = Workloads.program w in
+           [
+             (w.Workloads.name ^ " bare", p);
+             ( w.Workloads.name ^ " after Ofast",
+               Passes.Pass.apply_sequence Passes.Pass.ofast p );
+           ])
+         Workloads.all
+  in
+  List.iter
+    (fun width ->
+      let config =
+        { Mach.Config.amd_like with
+          Mach.Config.name = Printf.sprintf "amd-like-w%d" width;
+          issue_width = width }
+      in
+      List.iter
+        (fun (label, p) ->
+          match Testgen.Diff.diff_sim ~config p with
+          | [] -> ()
+          | ds ->
+            Alcotest.failf "%s, issue width %d: engines disagree: %s" label
+              width (String.concat "; " ds))
+        programs)
+    [ 2; 4; 16 ]
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -378,6 +460,8 @@ let suite =
         t "recursion and float printing" test_recursion_and_floats;
         t "fuel exhaustion boundary" test_fuel_boundary;
         t "cycles_of outcomes" test_cycles_of_outcomes;
+        slow "issue widths the presets do not use" test_other_issue_widths;
+        t "negative register id (ill-formed IR)" test_negative_register_edge;
       ] );
   ]
 

@@ -300,6 +300,26 @@ let test_ir_well_formed () =
   in
   Alcotest.(check (list string)) "no wf errors" [] (Mira.Ir.check_program p)
 
+(* a negative register id in a simple op is ill-formed: check_program
+   reports it as a use ("bad reg") and as a def ("bad def"); the engines
+   differ on which trap such an op raises first (see Decode) *)
+let test_ir_negative_registers () =
+  let main instrs =
+    let f =
+      { Mira.Ir.name = "main"; params = []; nregs = 1; entry = 0;
+        blocks =
+          Mira.Ir.LMap.singleton 0 (Mira.Ir.block ~instrs (Mira.Ir.Ret None));
+        nlabels = 1; locals = [] }
+    in
+    { Mira.Ir.globals = []; funcs = Mira.Ir.SMap.singleton "main" f;
+      main = "main" }
+  in
+  Alcotest.(check (list string)) "negative use" [ "main: L0: bad reg r-1" ]
+    (Mira.Ir.check_program
+       (main [ Mira.Ir.Bin (Mira.Ir.Add, 0, Mira.Ir.Reg (-1), Mira.Ir.Cint 1) ]));
+  Alcotest.(check (list string)) "negative def" [ "main: L0: bad def r-2" ]
+    (Mira.Ir.check_program (main [ Mira.Ir.Mov (-2, Mira.Ir.Cint 1) ]))
+
 let test_ir_loop_analysis () =
   let p =
     compile
@@ -661,6 +681,7 @@ let suite =
         t "liveness" test_ir_liveness;
         t "unreachable blocks" test_analysis_unreachable_blocks;
         t "self loop" test_analysis_self_loop;
+        t "well-formed: negative registers" test_ir_negative_registers;
       ] );
     ( "packed-arrays",
       [
