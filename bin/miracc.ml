@@ -369,7 +369,7 @@ let features_cmd =
 
 let counters_cmd =
   let doc = "Profile at -O0 and print per-instruction counter rates." in
-  let run file arch configs engine jobs tstore () =
+  let run file arch configs engine tstore () =
     set_engine engine;
     let p = load_program file in
     match configs with
@@ -389,7 +389,7 @@ let counters_cmd =
     | Some names ->
       (* architecture grid: one semantic execution (the trace — served
          from the trace store with --tstore), one model replay per
-         config (forked across --jobs workers), one column per config *)
+         config in this process, one column per config *)
       let configs =
         names |> String.split_on_char ',' |> List.map String.trim
         |> List.filter (fun s -> s <> "")
@@ -404,7 +404,7 @@ let counters_cmd =
             let tcache =
               Option.map (fun ts -> Engine.Tcache.create ~store:ts ()) ts
             in
-            Engine.Grid.run_grid ~jobs ?tcache ~configs p)
+            Engine.Grid.run_grid ?tcache ~configs p)
       in
       let assocs =
         Array.map
@@ -431,7 +431,7 @@ let counters_cmd =
   in
   Cmd.v (Cmd.info "counters" ~doc)
     Term.(const run $ file_arg $ arch_arg $ configs_arg $ engine_arg
-          $ jobs_arg $ tstore_arg $ obs_term)
+          $ tstore_arg $ obs_term)
 
 (* --- workloads ----------------------------------------------------- *)
 

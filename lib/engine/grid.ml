@@ -1,64 +1,41 @@
-(* Parallel architecture-grid replay: Sim.run_grid's pricing loop
-   lifted into the engine layer, where Pool and the trace tiers live
-   (lib/machine cannot depend on lib/engine).
+(* Architecture-grid pricing: Sim.run_grid's pricing loop lifted into
+   the engine layer, where the trace tiers live (lib/machine cannot
+   depend on lib/engine).
 
-   One trace fetch in the parent — through Tcache (and its Tstore tier)
-   when one is attached, a plain generation otherwise — then one
-   Replay.run per config, forked across Pool workers.  The trace
-   reaches the children by fork inheritance, so nothing is shipped out;
-   only the per-config Flatsim.result comes back.  Replay is
-   deterministic, so any non-Done outcome (a killed or wedged worker)
-   is simply replayed in the parent, keeping the result array
-   bit-identical to the serial path by construction.
-
-   A non-Finished trace re-raises its engine exception (Trap /
-   Out_of_fuel) before any worker forks, exactly like Sim.run_grid. *)
+   One trace fetch — through Tcache (and its Tstore tier) when one is
+   attached, a plain generation otherwise — then Replay.run_grid in the
+   calling process: one sequential model fold per config.  Every grid
+   here has at most the three preset configs, and at that size forking
+   workers from a large process costs more than the folds they would
+   share (DESIGN.md, "Grid replay").  A non-Finished trace re-raises
+   its engine exception (Trap / Out_of_fuel) before any config is
+   folded, exactly like Sim.run_grid. *)
 
 module Mtrace = Mach.Mtrace
-module Replay = Mach.Replay
 module Sim = Mach.Sim
 
 let runs = Obs.Metrics.counter "grid.runs"
-let fallbacks = Obs.Metrics.counter "grid.serial_fallbacks"
 
-let reraise_outcome (tr : Mtrace.t) =
-  match tr.Mtrace.outcome with
-  | Mtrace.Finished -> ()
-  | Mtrace.Trapped m -> raise (Mira.Interp.Trap m)
-  | Mtrace.Exhausted -> raise Mira.Interp.Out_of_fuel
+(* Replay.run_grid's results all point at the trace's one output
+   string.  Each result gets its own copy, as results marshaled back
+   from worker processes had, so that marshaling a grid of results (as
+   perfbench's results digest does) gives the same bytes however the
+   grid was priced. *)
+let own_output (r : Sim.result) =
+  { r with Sim.output = String.sub r.Sim.output 0 (String.length r.Sim.output) }
 
-let replay_grid ?(jobs = 1) ~(configs : Mach.Config.t array) (tr : Mtrace.t)
-    : Sim.result array =
-  reraise_outcome tr;
-  let n = Array.length configs in
-  if jobs <= 1 || n <= 1 then
-    Array.map Sim.of_flatsim (Replay.run_grid ~configs tr)
-  else begin
-    let outcomes =
-      Pool.map ~jobs:(min jobs n)
-        (fun i -> Replay.run ~config:configs.(i) tr)
-        (Array.init n Fun.id)
-    in
-    Array.mapi
-      (fun i outcome ->
-        match outcome with
-        | Pool.Done r -> Sim.of_flatsim r
-        | Pool.Failed _ | Pool.Crashed | Pool.Timed_out ->
-          Obs.Metrics.incr fallbacks;
-          Sim.of_flatsim (Replay.run ~config:configs.(i) tr))
-      outcomes
-  end
+let replay_grid ?jobs:_ ~(configs : Mach.Config.t array) (tr : Mtrace.t) :
+    Sim.result array =
+  Array.map
+    (fun r -> own_output (Sim.of_flatsim r))
+    (Mach.Replay.run_grid ~configs tr)
 
-let run_grid ?jobs ?(fuel = Sim.default_fuel) ?tcache
+let run_grid ?(fuel = Sim.default_fuel) ?tcache
     ~(configs : Mach.Config.t array) (p : Mira.Ir.program) :
     Sim.result array =
   Obs.Metrics.incr runs;
   Obs.span_with ~cat:"grid" "grid.run"
-    ~end_args:(fun _ ->
-      [
-        ("configs", Obs.Trace.Int (Array.length configs));
-        ("jobs", Obs.Trace.Int (match jobs with Some j -> j | None -> 1));
-      ])
+    ~end_args:(fun _ -> [ ("configs", Obs.Trace.Int (Array.length configs)) ])
     (fun () ->
       let tr =
         match tcache with
@@ -67,4 +44,4 @@ let run_grid ?jobs ?(fuel = Sim.default_fuel) ?tcache
           Tcache.find_or_generate tc ~ir_digest:(Pctrie.digest p) ~fuel
             (fun () -> Mtrace.generate_program ~fuel p)
       in
-      replay_grid ?jobs ~configs tr)
+      replay_grid ~configs tr)

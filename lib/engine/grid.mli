@@ -1,29 +1,25 @@
-(** Parallel architecture-grid replay: {!Mach.Sim.run_grid} lifted into
-    the engine layer, with the configs priced by {!Pool} workers and the
-    trace served through the {!Tcache} / {!Tstore} tiers.
-
-    Bit-identical to the serial path by construction: the trace is
-    fetched once in the parent, workers each fold one config's machine
-    model over it (inherited by fork), and any worker failure falls
-    back to an in-parent replay of that config. *)
+(** Architecture-grid pricing: {!Mach.Sim.run_grid} lifted into the
+    engine layer, with the trace served through the {!Tcache} /
+    {!Tstore} tiers and every config priced in the calling process by
+    {!Mach.Replay.run_grid}, bit-identical to the serial path. *)
 
 (** Price [p] against [configs].  The trace comes from [tcache] when
     given (consulting its durable {!Tstore} tier and writing fresh
     generations through), else from a direct {!Mach.Mtrace.generate}.
-    [jobs] > 1 forks that many {!Pool} workers over the configs
-    (default 1 = in-process, serial).
     @raise Mira.Interp.Trap on runtime errors
     @raise Mira.Interp.Out_of_fuel when the step budget is exhausted *)
 val run_grid :
-  ?jobs:int ->
   ?fuel:int ->
   ?tcache:Tcache.t ->
   configs:Mach.Config.t array ->
   Mira.Ir.program ->
   Mach.Sim.result array
 
-(** replay an already-generated trace over [configs], parallelizing as
-    {!run_grid} does; re-raises a non-[Finished] trace's exception *)
+(** Replay an already-generated trace over [configs] in the calling
+    process; re-raises a non-[Finished] trace's exception before any
+    config is folded.  [jobs] is ignored: it once sized forked replay
+    workers, and stays only until the end-to-end benchmark stops
+    passing it. *)
 val replay_grid :
   ?jobs:int ->
   configs:Mach.Config.t array ->

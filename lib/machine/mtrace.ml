@@ -644,7 +644,11 @@ let generate_program ?fuel (p : Mira.Ir.program) : t =
    belong to the store (Tstore seals each entry with an MD5 prefix).
    [decode] still validates structurally — version byte, tags, bounds,
    exact consumption — so a logically corrupt but checksum-valid entry
-   is reported as an error, never a crash. *)
+   is reported as an error, never a crash.  Every count is bounded by
+   the bytes left before anything is allocated for it, each item taking
+   at least its smallest encoding: one byte per event, bank entry,
+   integer element or string byte, three per signature, eight per
+   float. *)
 
 let codec_version = 1
 
@@ -754,14 +758,26 @@ let rd_byte r =
   r.pos <- r.pos + 1;
   c
 
+(* put_varint never writes a negative: a ninth byte that sets the sign
+   bit, or continues past it, is corruption *)
 let rd_varint r =
   let rec go shift acc =
-    if shift > 62 then corrupt "varint overflow at %d" r.pos;
     let c = rd_byte r in
     let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c land 0x80 = 0 then acc else go (shift + 7) acc
+    if c land 0x80 = 0 then
+      if acc < 0 then corrupt "negative varint at %d" r.pos else acc
+    else if shift >= 56 then corrupt "varint overflow at %d" r.pos
+    else go (shift + 7) acc
   in
   go 0 0
+
+(* a count of items taking at least [size] bytes each, bounded by the
+   bytes left so that no corrupt count reaches an allocation *)
+let rd_count r ~size =
+  let n = rd_varint r in
+  if n > (String.length r.s - r.pos) / size then
+    corrupt "count %d overruns at %d" n r.pos;
+  n
 
 let rd_zigzag r = unzigzag (rd_varint r)
 
@@ -772,8 +788,7 @@ let rd_event r =
   (tag, unzigzag zz)
 
 let rd_string r =
-  let len = rd_varint r in
-  if r.pos + len > String.length r.s then corrupt "string overruns at %d" r.pos;
+  let len = rd_count r ~size:1 in
   let s = String.sub r.s r.pos len in
   r.pos <- r.pos + len;
   s
@@ -795,8 +810,8 @@ let rd_value r : Interp.value =
   | 4 ->
     let payload =
       match rd_byte r with
-      | 0 -> Interp.IA (Array.init (rd_varint r) (fun _ -> rd_zigzag r))
-      | 1 -> Interp.FA (Array.init (rd_varint r) (fun _ -> rd_float r))
+      | 0 -> Interp.IA (Array.init (rd_count r ~size:1) (fun _ -> rd_zigzag r))
+      | 1 -> Interp.FA (Array.init (rd_count r ~size:8) (fun _ -> rd_float r))
       | k -> corrupt "bad array payload kind %d" k
     in
     let base = rd_varint r in
@@ -811,7 +826,7 @@ let decode (s : string) : (t, string) result =
     (match rd_byte r with
     | v when v = codec_version -> ()
     | v -> corrupt "codec version %d (want %d)" v codec_version);
-    let n = rd_varint r in
+    let n = rd_count r ~size:1 in
     let events = Array.make n 0 in
     let last = Array.make 4 0 in
     for i = 0 to n - 1 do
@@ -821,7 +836,7 @@ let decode (s : string) : (t, string) result =
       last.(tag) <- v;
       events.(i) <- (v lsl 2) lor tag
     done;
-    let nsig = rd_varint r in
+    let nsig = rd_count r ~size:3 in
     let sig_dst = Array.make nsig 0 in
     let sig_u0 = Array.make nsig 0 in
     let sig_u1 = Array.make nsig 0 in
@@ -838,7 +853,7 @@ let decode (s : string) : (t, string) result =
           else if sig_u1.(i) = sentinel then [| sig_u0.(i) |]
           else [| sig_u0.(i); sig_u1.(i) |])
     in
-    let nbank = rd_varint r in
+    let nbank = rd_count r ~size:1 in
     let base = Array.init nbank (fun _ -> rd_varint r) in
     let outcome =
       match rd_byte r with

@@ -58,7 +58,7 @@ val run_grid :
 
 (** convert a {!Flatsim.result} (also what {!Replay.run} produces) —
     for callers that drive {!Replay} themselves, e.g. the engine's
-    parallel grid and trace-store paths *)
+    grid and trace-store paths *)
 val of_flatsim : Flatsim.result -> result
 
 (** How a measured run ended.  [Trapped] and [Exhausted] are distinct on

@@ -1,8 +1,8 @@
 (* The persistent trace store: codec round-trips (bit-exact, compact),
    cross-process persistence (add / close / reopen / find), torn-write
    quarantine and self-healing, absorb for distributed sweeps, the
-   write-through tier under Tcache, and the parallel grid replay's
-   bit-identity to the serial grid. *)
+   write-through tier under Tcache, and Engine.Grid's pricing: bit-identical
+   to the serial grid, in the calling process, with no worker forked. *)
 
 module Mtrace = Mach.Mtrace
 module Replay = Mach.Replay
@@ -117,7 +117,34 @@ let test_codec_rejects_garbage () =
     (Result.is_error (Mtrace.decode (String.sub s 0 (String.length s / 2))));
   Alcotest.(check bool)
     "trailing bytes" true
-    (Result.is_error (Mtrace.decode (s ^ "\x00")))
+    (Result.is_error (Mtrace.decode (s ^ "\x00")));
+  (* length fields that once reached an allocation or String.sub: each
+     must come back as an Error, never an exception *)
+  let version = String.make 1 (Char.chr Mtrace.codec_version) in
+  let varint v =
+    let b = Buffer.create 10 in
+    let rec go v =
+      if v < 0x80 then Buffer.add_char b (Char.chr v)
+      else (
+        Buffer.add_char b (Char.chr (0x80 lor (v land 0x7f)));
+        go (v lsr 7))
+    in
+    go v;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (name, payload) ->
+      match Mtrace.decode payload with
+      | r -> Alcotest.(check bool) name true (Result.is_error r)
+      | exception e ->
+        Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
+    [
+      ("event count 2^40", version ^ varint (1 lsl 40));
+      ("negative nine-byte varint", version ^ String.make 8 '\xff' ^ "\x7f");
+      ("signature count 2^40", version ^ "\x00" ^ varint (1 lsl 40));
+      ( "trap message length near max_int",
+        version ^ "\x00\x00\x00\x00\x01" ^ varint (max_int - 3) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* persistence across a process boundary (open / close / reopen) *)
@@ -298,7 +325,7 @@ let test_tcache_write_through () =
     (Mtrace.equal tr tr')
 
 (* ------------------------------------------------------------------ *)
-(* parallel grid replay *)
+(* grid pricing *)
 
 let test_parallel_grid_bit_identical () =
   let configs = Array.of_list Config.all in
@@ -306,7 +333,7 @@ let test_parallel_grid_bit_identical () =
     (fun (w : Workloads.t) ->
       let p = Workloads.program w in
       let serial = Mach.Sim.run_grid ~configs p in
-      let par = Engine.Grid.run_grid ~jobs:2 ~configs p in
+      let par = Engine.Grid.run_grid ~configs p in
       Array.iteri
         (fun i (a : Mach.Sim.result) ->
           let b = par.(i) in
@@ -326,7 +353,7 @@ let test_parallel_grid_bit_identical () =
 let test_parallel_grid_trap () =
   let p = compile trap_program in
   let configs = Array.of_list Config.all in
-  match Engine.Grid.run_grid ~jobs:2 ~configs p with
+  match Engine.Grid.run_grid ~configs p with
   | _ -> Alcotest.fail "grid of a trapping program must raise"
   | exception Mira.Interp.Trap m ->
     Alcotest.(check string) "trap message" "division by zero" m
@@ -362,6 +389,57 @@ let test_grid_from_store () =
         [ (cold.(i), "cold"); (warm.(i), "warm") ])
     serial
 
+(* Grid pricing forks nothing: whatever [jobs] says, every config is
+   folded in this process, so the pool's task counter stays put over
+   finished, trapped and exhausted traces and a whole [run_grid] *)
+let test_grid_forks_nothing () =
+  let configs = Array.of_list Config.all in
+  let tasks = Obs.Metrics.counter "pool.tasks" in
+  let before = Obs.Metrics.value tasks in
+  let p = Workloads.program (List.hd Workloads.all) in
+  let expected = Mach.Sim.run_grid ~configs p in
+  let check leg (rs : Mach.Sim.result array) =
+    Array.iteri
+      (fun i (a : Mach.Sim.result) ->
+        let b = rs.(i) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s on %s: == Sim.run_grid" leg
+             configs.(i).Config.name)
+          true
+          (Stdlib.compare
+             (a.Mach.Sim.cycles, a.Mach.Sim.counters, a.Mach.Sim.ret,
+              a.Mach.Sim.output, a.Mach.Sim.steps)
+             (b.Mach.Sim.cycles, b.Mach.Sim.counters, b.Mach.Sim.ret,
+              b.Mach.Sim.output, b.Mach.Sim.steps)
+           = 0))
+      expected;
+    (* no two results share an output string, so a marshaled grid has
+       the same bytes as one priced in worker processes *)
+    let o i = rs.(i).Mach.Sim.output in
+    Alcotest.(check bool)
+      (leg ^ ": each result owns its output")
+      true
+      (o 0 != o 1 && o 1 != o 2 && o 0 != o 2)
+  in
+  check "replay_grid"
+    (Engine.Grid.replay_grid ~jobs:2 ~configs
+       (Mtrace.generate_program ~fuel p));
+  (match
+     Engine.Grid.replay_grid ~jobs:2 ~configs
+       (Mtrace.generate_program ~fuel (compile trap_program))
+   with
+  | _ -> Alcotest.fail "a trapped trace must raise"
+  | exception Mira.Interp.Trap m ->
+    Alcotest.(check string) "trap message" "division by zero" m);
+  (match
+     Engine.Grid.replay_grid ~jobs:2 ~configs
+       (Mtrace.generate_program ~fuel:10 (compile trap_program))
+   with
+  | _ -> Alcotest.fail "an exhausted trace must raise"
+  | exception Mira.Interp.Out_of_fuel -> ());
+  check "run_grid" (Engine.Grid.run_grid ~configs p);
+  Alcotest.(check int) "no pool task" before (Obs.Metrics.value tasks)
+
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   let slow name f = Alcotest.test_case name `Slow f in
@@ -386,6 +464,7 @@ let suite =
           test_parallel_grid_bit_identical;
         t "parallel grid re-raises traps" test_parallel_grid_trap;
         t "store-backed grid across a reopen" test_grid_from_store;
+        t "grid pricing forks nothing" test_grid_forks_nothing;
       ] );
   ]
 
