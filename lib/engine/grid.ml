@@ -26,9 +26,7 @@ let own_output (r : Sim.result) =
 
 let replay_grid ?jobs:_ ~(configs : Mach.Config.t array) (tr : Mtrace.t) :
     Sim.result array =
-  Array.map
-    (fun r -> own_output (Sim.of_flatsim r))
-    (Mach.Replay.run_grid ~configs tr)
+  Array.map own_output (Mach.Replay.run_grid ~configs tr)
 
 let run_grid ?(fuel = Sim.default_fuel) ?tcache
     ~(configs : Mach.Config.t array) (p : Mira.Ir.program) :

@@ -2,13 +2,13 @@
 
    [decode] translates an [Ir.program] once into a flat array bytecode;
    [Exec] is the one dispatch loop over it, on unboxed register files.
-   [run] is that loop with no machine model, and Mach.Flatsim supplies
-   the cycle-level model through the same loop's hooks.  The contract
-   is bit-identity with [Interp.run] under [no_hooks]: same return value,
-   same printed output, same [steps], and the same trap (message
-   included) at the same point.  Interp stays the semantics oracle; the
-   differential tests in test_flat.ml and the fuzzer police the
-   equivalence.
+   [run] is that loop with no machine model; Mach.Flatsim (cycles) and
+   Mach.Mtrace (event traces) are models on the same loop's hooks.  The
+   contract is bit-identity with [Interp.run] under [no_hooks]: same
+   return value, same printed output, same [steps], and the same trap
+   (message included) at the same point.  Interp stays the semantics
+   oracle; the differential tests in test_flat.ml and the fuzzer police
+   the equivalence.
 
    Everything subtle here is about preserving the oracle's observable
    order of effects:
@@ -901,10 +901,14 @@ module Exec (M : MODEL) = struct
     exec rt m fr;
     rt.sp <- saved_sp
 
+  let start rt (m : M.t) : unit =
+    let dp = rt.dp in
+    if dp.main_idx < 0 then trap "call to unknown function %s" dp.main_name;
+    do_call rt m dp.main_idx 0
+
   let run ~fuel (m : M.t) (dp : t) : Interp.result =
     let rt = make_rt ~fuel dp in
-    if dp.main_idx < 0 then trap "call to unknown function %s" dp.main_name;
-    do_call rt m dp.main_idx 0;
+    start rt m;
     result_of rt
 end
 

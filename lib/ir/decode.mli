@@ -27,11 +27,13 @@
     feeds both engines deliberately broken programs.)
 
     {!Exec} is the one dispatch loop over the decoded form, with four
-    hooks for a machine model; {!run} is that loop with none, and
-    [Mach.Flatsim] supplies the cycle-level model.  The flat engine is
-    bit-identical to {!Interp.run} on return value, printed output,
-    [steps], and trap behaviour; the test suite and the differential
-    fuzzer enforce this.  {!Interp.run} remains the semantics oracle.
+    hooks for a machine model; {!run} is that loop with none.  Two
+    models carry the machine: [Mach.Flatsim] charges cycles as the
+    program runs, and [Mach.Mtrace] records the event trace that
+    [Mach.Replay] prices per config.  The flat engine is bit-identical
+    to {!Interp.run} on return value, printed output, [steps], and trap
+    behaviour; the test suite and the differential fuzzer enforce this.
+    {!Interp.run} remains the semantics oracle.
 
     One edge differs from the reference simulator, on ill-formed IR
     only (a "bad reg" or "bad def" from {!Ir.check_program}): a
@@ -40,9 +42,8 @@
     operand's trap, where the reference simulator raises it from its
     issue stamps before reading an operand.
 
-    The decoded representation and the runtime are exposed transparently
-    so that [Mach.Mtrace] (trace generation) can drive its own loop over
-    the same bytecode. *)
+    The decoded representation is exposed so that models can build
+    per-op tables from the static code; the runtime is abstract. *)
 
 (** dense opcode: instruction kind and sub-operation in one constructor *)
 type op =
@@ -157,96 +158,19 @@ val decode : Ir.program -> t
     largest global code offset *)
 val code_size : t -> int
 
-val arr_len : Interp.arr -> int
+(** {2 The dispatch loop} *)
 
-(** {2 Runtime internals}
+(** per-run state: globals, register frames, fuel, steps and printed
+    output *)
+type rt
 
-    Exposed so that [Mach.Mtrace] can write its own dispatch loop over
-    the same frames and operand accessors.  Everything here preserves
-    the reference engine's trap messages and evaluation order
-    exactly. *)
-
-(** per-activation register file: [tags.(r)] is 0 undef / 1 int /
-    2 float / 3 bool / 4 array, with the payload in the matching array
-    ([ints] doubles as bool storage, 0/1) *)
-type frame = {
-  df : dfunc;
-  tags : int array;
-  ints : int array;
-  flts : float array;
-  arrs : Interp.arr array;
-  mutable locals : Interp.arr array;  (** filled after params are bound *)
-}
-
-(** per-run mutable state.  [s_*] is a one-value scratch cell used for
-    operands of any type (Mov/Print/Ret/Call argument and return);
-    [arg_*] buffers call arguments between evaluation and binding. *)
-type rt = {
-  dp : t;
-  garr : Interp.arr array;
-  buf : Buffer.t;
-  mutable fuel : int;
-  mutable steps : int;
-  mutable sp : int;
-  mutable s_tag : int;
-  mutable s_int : int;
-  mutable s_flt : float;
-  mutable s_arr : Interp.arr;
-  arg_tags : int array;
-  arg_ints : int array;
-  arg_flts : float array;
-  arg_arrs : Interp.arr array;
-}
-
+(** a fresh runtime for one run of the program *)
 val make_rt : ?fuel:int -> t -> rt
 
-(** raise {!Interp.Trap} with a formatted message *)
-val trap : ('a, Format.formatter, unit, 'b) format4 -> 'a
-
-(** allocate the register file for one activation ([locals] left empty) *)
-val new_frame : t -> int -> frame
-
-(** copy [n] buffered arguments into the frame's parameter registers *)
-val bind_params : rt -> frame -> int -> unit
-
-(** allocate frame arrays in declaration order, bumping [rt.sp] and
-    trapping on stack overflow exactly like the reference engine *)
-val alloc_locals : rt -> dfunc -> Interp.arr array
-
-(** Operand accessors: [kind], [payload] from a {!dinstr} field pair.
-    Trap like the reference — undefined-register and unknown-name traps
-    fire before type-conversion traps. *)
-
-val geti : rt -> frame -> int -> int -> int
-val getf : rt -> frame -> int -> int -> float
-val getb : rt -> frame -> int -> int -> bool
-val geta : rt -> frame -> int -> int -> Interp.arr
-
-(** evaluate an operand of any type into the [s_*] scratch cell *)
-val eval_any : rt -> frame -> int -> int -> unit
-
-val set_int : frame -> int -> int -> unit
-val set_flt : frame -> int -> float -> unit
-val set_bool : frame -> int -> bool -> unit
-
-(** write the scratch cell to a register (call returns, [Mov]) *)
-val set_scratch : rt -> frame -> int -> unit
-
-(** buffer the scratch cell as call argument [j] *)
-val save_arg : rt -> int -> unit
-
-(** scratch cell (holding main's return) + output + steps as a result *)
+(** main's return value, the output printed so far and the steps taken
+    so far.  After a trap or fuel exhaustion, [output] and [steps] are
+    the stopped run's and [ret] is meaningless. *)
 val result_of : rt -> Interp.result
-
-val shift_ok : int -> bool
-
-(** the [Icmp]/[Fcmp] arms (shared with trace generation); the int
-    selects the comparison: 0 eq, 1 ne, 2 lt, 3 le, 4 gt, 5 ge *)
-val do_icmp : rt -> frame -> dinstr -> int -> unit
-
-val do_fcmp : rt -> frame -> dinstr -> int -> unit
-
-(** {2 The dispatch loop} *)
 
 (** A machine model's hooks.  [gpc] is the op's global code offset
     ([base] + pc), so a model can keep per-op tables as flat arrays.
@@ -258,7 +182,13 @@ val do_fcmp : rt -> frame -> dinstr -> int -> unit
       after the bounds check and before a store's element-type check;
     - [branch m gpc site taken]: a conditional branch, after its
       condition is read;
-    - [jump m gpc]: Jmp and Ret, before a return operand is read. *)
+    - [jump m gpc]: Jmp and Ret, before a return operand is read.
+
+    A static run of simple-issue ops, the slots before a non-simple
+    one, is only ever entered at its first slot: a block start, a
+    function entry or a call's return site.  So when the op that ends a
+    run fires its hook, the whole run has just executed once, and both
+    machine models charge the run there. *)
 module type MODEL = sig
   type t
 
@@ -274,6 +204,14 @@ module Exec (M : MODEL) : sig
       @raise Interp.Trap on runtime errors
       @raise Interp.Out_of_fuel when the step budget is exhausted *)
   val run : fuel:int -> M.t -> t -> Interp.result
+
+  (** Run [main] on a runtime the caller made, so that the caller can
+      still read {!result_of} after a trap or fuel exhaustion.
+      [run ~fuel m dp] is [make_rt ~fuel dp], then [start], then
+      {!result_of}.
+      @raise Interp.Trap on runtime errors, and when [main] is missing
+      @raise Interp.Out_of_fuel when the step budget is exhausted *)
+  val start : rt -> M.t -> unit
 end
 
 (** Execute a decoded program (plain interpretation: {!Exec} over a

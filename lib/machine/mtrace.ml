@@ -2,14 +2,13 @@ module Interp = Mira.Interp
 module D = Mira.Decode
 
 (* Trace-once half of the trace-once/model-many split (see DESIGN.md
-   "Trace-once, model-many").  This is Decode.Exec's dispatch loop with
-   event emission in place of the model hooks, plus an event per
-   simple-issue op: one run of a decoded program records everything the
-   machine model consumes — instruction-class retirements with their
-   use-arrays, load/store byte addresses, branch sites with taken bits,
-   call/print/jump serializers — as one packed int per event, in
-   program order.  Replay folds that stream through Flatsim's model code
-   once per config.
+   "Trace-once, model-many").  Generation is Decode.Exec, the one
+   dispatch loop, run over a model whose hooks write events: one run of
+   a decoded program records everything the machine model consumes —
+   runs of simple-issue ops by issue signature, long-latency classes,
+   load/store byte addresses, branch sites with taken bits — as one
+   packed int per event, in program order.  Replay folds that stream
+   through Flatsim's model code once per config.
 
    Nothing here reads Config.t: the dynamic instruction and memory
    reference stream of a program is a property of the program alone, so
@@ -19,10 +18,12 @@ module D = Mira.Decode
    the config-dependent ones (TOT_CYC, BR_MSP, cache counters) to the
    replay pass.
 
-   The execution arms mirror Decode.Exec line for line; in particular
-   every event is emitted where Decode.Exec fires the matching hook (a
-   simple op's before its operands are read), so a trapping run leaves
-   exactly the prefix of events accounted before the trap. *)
+   Simple-issue ops fire no hook.  Control enters a static run of them
+   only at its first slot (see Decode.MODEL), so the hook of the op that
+   ends a run writes the whole run, from per-op tables built once per
+   generation, before the op's own event.  A trap or fuel exhaustion
+   can stop a run part-way; [charge_stop] writes that prefix once the
+   program has stopped. *)
 
 (* ------------------------------------------------------------------ *)
 (* Event encoding: one int per word, tag in the low 2 bits.
@@ -30,15 +31,15 @@ module D = Mira.Decode
      tag 0 (simple)  payload = (issue-signature id << 8) | (run - 1):
                      a run of [run] consecutive simple-issue events whose
                      signature ids are id, id+1, ...  Signature ids are
-                     assigned in static code order, so straight-line
-                     stretches of simple ops — the common case — coalesce
-                     into one word.  A run never spans another event.
-     tag 1 (long)    payload = ((run - 1) << 3) | latency class (cls_*
-                     below): a run of [run] consecutive long-latency
-                     events of one class — FP-heavy straight-line code
-                     produces them — which the replay folds in O(1)
-                     (one bundle drain, then pure cycle arithmetic).
-                     A run never spans another event.
+                     assigned in static code order, so a static run of
+                     simple ops — the common case — is one word, or one
+                     per 256 ops.  A run never spans another event.
+     tag 1 (long)    payload = ((run - 1) << 3) | latency class (one
+                     of Decode's): a run of [run] consecutive
+                     long-latency events of one class — FP-heavy
+                     straight-line code produces them — which the replay
+                     folds in O(1) (one bundle drain, then pure cycle
+                     arithmetic).  A run never spans another event.
      tag 2 (mem)     payload = (byte address << 1) | write
      tag 3 (branch)  payload = (site id << 1) | taken                  *)
 
@@ -54,18 +55,6 @@ let run_max = 1 lsl run_bits
 (* class field width of a long word; run length lives above it *)
 let cls_bits = 3
 let lrun_max = 1 lsl 20
-
-(* latency classes for tag_long events: Decode's, priced per config by
-   Flatsim.lat_table *)
-let cls_mul = D.cls_mul
-let cls_div = D.cls_div
-let cls_fadd = D.cls_fadd
-let cls_fmul = D.cls_fmul
-let cls_fdiv = D.cls_fdiv
-let cls_call = D.cls_call
-let cls_print = D.cls_print
-let cls_jump = D.cls_jump
-let cls_count = D.cls_count
 
 type outcome = Finished | Trapped of string | Exhausted
 
@@ -97,30 +86,92 @@ let outcome_repr = function
   | Exhausted -> "out of fuel"
 
 (* ------------------------------------------------------------------ *)
-(* Generation state *)
+(* Generation state: the model Decode.Exec runs *)
 
 type gt = {
   mutable ev : int array;
   mutable n : int;
-  (* pending run of consecutive simple events, not yet written out:
-     start signature id (-1 = none) and length so far *)
-  mutable run_sid : int;
-  mutable run_len : int;
-  (* pending run of consecutive same-class long events (-1 = none).
-     At most one of the two run kinds is pending at any moment: each
-     emitter flushes the other kind before extending its own. *)
+  (* pending run of consecutive same-class long events (-1 = none) *)
   mutable lrun_cls : int;
   mutable lrun_len : int;
   base : Counters.bank;
-  (* per function, per pc: issue-signature id of a simple-issue op, -1
-     otherwise.  Built once per generation from the static code; gives
-     the hot loop an O(1) signature lookup and the trace a side table
-     replays index into. *)
-  sigmap : int array array;
+  (* Per global code offset, built once per generation from the static
+     code: the number of simple-issue slots before it (a simple slot's
+     own signature id), the length of the static run of simple slots
+     that ends just before it, and whether it is a return. *)
+  sid : int array;
+  run_len : int array;
+  is_ret : bool array;
   sig_uses : int array array;
   sig_dst : int array;
   max_reg : int;
+  (* What [charge_stop] needs: the steps the hooks have accounted for,
+     the last hooked op and a branch's direction, the return sites of
+     the active calls and where the last return went. *)
+  mutable accounted : int;
+  mutable last : int;
+  mutable taken : bool;
+  mutable sites : int list;
+  mutable ret_site : int;
 }
+
+let mk_gt (dp : D.t) : gt =
+  let nsig =
+    Array.fold_left
+      (fun n (df : D.dfunc) ->
+        Array.fold_left
+          (fun n (di : D.dinstr) -> if D.is_simple di.D.op then n + 1 else n)
+          n df.D.code)
+      0 dp.D.funcs
+  in
+  let sig_uses = Array.make (max 1 nsig) [||] in
+  let sig_dst = Array.make (max 1 nsig) (-1) in
+  let size = D.code_size dp in
+  let sid = Array.make size 0 in
+  let run_len = Array.make size 0 in
+  let is_ret = Array.make size false in
+  (* the largest register id any signature presents; lets the replay
+     pre-size its stamp tables and skip per-event checks *)
+  let max_reg = ref 0 in
+  let next = ref 0 and run = ref 0 in
+  Array.iter
+    (fun (df : D.dfunc) ->
+      Array.iteri
+        (fun pc (di : D.dinstr) ->
+          let gpc = df.D.base + pc in
+          sid.(gpc) <- !next;
+          run_len.(gpc) <- !run;
+          if D.is_simple di.D.op then begin
+            sig_uses.(!next) <- di.D.uses;
+            sig_dst.(!next) <- di.D.dst;
+            max_reg := Array.fold_left max (max !max_reg di.D.dst) di.D.uses;
+            incr next;
+            incr run
+          end
+          else begin
+            is_ret.(gpc) <- di.D.op = D.ORetN || di.D.op = D.ORetV;
+            run := 0
+          end)
+        df.D.code)
+    dp.D.funcs;
+  {
+    ev = Array.make 4096 0;
+    n = 0;
+    lrun_cls = -1;
+    lrun_len = 0;
+    base = Counters.make ();
+    sid;
+    run_len;
+    is_ret;
+    sig_uses;
+    sig_dst;
+    max_reg = !max_reg;
+    accounted = 0;
+    last = -1;
+    taken = false;
+    sites = [];
+    ret_site = -1;
+  }
 
 let[@inline] emit (g : gt) w =
   let n = g.n in
@@ -132,14 +183,6 @@ let[@inline] emit (g : gt) w =
   Array.unsafe_set g.ev n w;
   g.n <- n + 1
 
-let[@inline] flush_run (g : gt) =
-  if g.run_sid >= 0 then begin
-    emit g
-      ((((g.run_sid lsl run_bits) lor (g.run_len - 1)) lsl 2) lor tag_simple);
-    g.run_sid <- -1;
-    g.run_len <- 0
-  end
-
 let[@inline] flush_lrun (g : gt) =
   if g.lrun_cls >= 0 then begin
     emit g
@@ -148,84 +191,22 @@ let[@inline] flush_lrun (g : gt) =
     g.lrun_len <- 0
   end
 
-(* signature ids follow static code order, so a straight-line stretch of
-   simple ops presents consecutive ids — extend the pending run; any
-   other event (or a control transfer landing elsewhere) breaks it *)
-let[@inline] emit_simple g sid =
-  flush_lrun g;
-  if g.run_sid >= 0 && sid = g.run_sid + g.run_len && g.run_len < run_max
-  then g.run_len <- g.run_len + 1
-  else begin
-    flush_run g;
-    g.run_sid <- sid;
-    g.run_len <- 1
-  end
-
 let[@inline] emit_long g cls =
   if g.lrun_cls = cls && g.lrun_len < lrun_max then
     g.lrun_len <- g.lrun_len + 1
   else begin
-    flush_run g;
     flush_lrun g;
     g.lrun_cls <- cls;
     g.lrun_len <- 1
   end
 
 let[@inline] emit_mem g ~write addr =
-  flush_run g;
   flush_lrun g;
   emit g ((((addr lsl 1) lor if write then 1 else 0) lsl 2) lor tag_mem)
 
 let[@inline] emit_branch g site taken =
-  flush_run g;
   flush_lrun g;
   emit g ((((site lsl 1) lor if taken then 1 else 0) lsl 2) lor tag_branch)
-
-let mk_gt (dp : D.t) : gt =
-  let nsig = ref 0 in
-  Array.iter
-    (fun (df : D.dfunc) ->
-      Array.iter (fun di -> if D.is_simple di.D.op then incr nsig) df.D.code)
-    dp.D.funcs;
-  let sig_uses = Array.make (max 1 !nsig) [||] in
-  let sig_dst = Array.make (max 1 !nsig) (-1) in
-  let next = ref 0 in
-  (* the largest register id any recorded signature can present; lets
-     the replay pre-size its stamp tables and skip per-event checks *)
-  let max_reg = ref 0 in
-  let sigmap =
-    Array.map
-      (fun (df : D.dfunc) ->
-        Array.map
-          (fun di ->
-            if D.is_simple di.D.op then begin
-              let id = !next in
-              incr next;
-              sig_uses.(id) <- di.D.uses;
-              sig_dst.(id) <- di.D.dst;
-              if di.D.dst > !max_reg then max_reg := di.D.dst;
-              Array.iter
-                (fun r -> if r > !max_reg then max_reg := r)
-                di.D.uses;
-              id
-            end
-            else -1)
-          df.D.code)
-      dp.D.funcs
-  in
-  {
-    ev = Array.make 4096 0;
-    n = 0;
-    run_sid = -1;
-    run_len = 0;
-    lrun_cls = -1;
-    lrun_len = 0;
-    base = Counters.make ();
-    sigmap;
-    sig_uses;
-    sig_dst;
-    max_reg = !max_reg;
-  }
 
 (* raw counter slots, as in Flatsim (only the config-independent ones) *)
 let c_tot_ins = Counters.to_index Counters.TOT_INS
@@ -239,322 +220,127 @@ let c_mul_ins = Counters.to_index Counters.MUL_INS
 let c_div_ins = Counters.to_index Counters.DIV_INS
 let c_call_ins = Counters.to_index Counters.CALL_INS
 
-let[@inline] bump (b : Counters.bank) i =
-  Array.unsafe_set b i (Array.unsafe_get b i + 1)
+let[@inline] add (b : Counters.bank) i n =
+  Array.unsafe_set b i (Array.unsafe_get b i + n)
 
-(* ------------------------------------------------------------------ *)
-(* The dispatch loop: Decode.Exec with the hooks replaced by events and
-   the config-independent counters bumped per op.  A semantics change
-   in Decode.Exec needs a mirror change here (the differential tests
-   catch divergence). *)
+let[@inline] bump b i = add b i 1
 
-let rec exec (rt : D.rt) (g : gt) (fr : D.frame) (sigrow : int array) : unit =
-  let code = fr.D.df.D.code in
-  let bank = g.base in
-  let pc = ref fr.D.df.D.entry_pc in
-  let running = ref true in
-  while !running do
-    let at = !pc in
-    let di = Array.unsafe_get code at in
-    rt.D.fuel <- rt.D.fuel - 1;
-    rt.D.steps <- rt.D.steps + 1;
-    if rt.D.fuel <= 0 then raise Interp.Out_of_fuel;
-    incr pc;
+(* [len] simple ops with signature ids [sid], [sid + 1], ... ran: one
+   word per [run_max] of them, after any pending long run *)
+let rec emit_run g sid len =
+  let k = min len run_max in
+  emit g ((((sid lsl run_bits) lor (k - 1)) lsl 2) lor tag_simple);
+  if len > k then emit_run g (sid + k) (len - k)
+
+let simple_ops g sid len =
+  if len > 0 then begin
+    flush_lrun g;
+    emit_run g sid len;
+    add g.base c_tot_ins len;
+    add g.base c_int_ins len
+  end
+
+(* the op at [gpc] fires a hook: the static run before it has just run
+   in full *)
+let[@inline] close_run g gpc =
+  let len = Array.unsafe_get g.run_len gpc in
+  g.accounted <- g.accounted + len + 1;
+  g.last <- gpc;
+  simple_ops g (Array.unsafe_get g.sid gpc - len) len
+
+(* Every gpc Decode.Exec passes is below [D.code_size], the length of
+   the per-op tables: the unsafe reads are in bounds. *)
+module Model = struct
+  type t = gt
+
+  let long g gpc cls =
+    close_run g gpc;
+    let b = g.base in
+    bump b c_tot_ins;
+    if cls = D.cls_mul || cls = D.cls_div then begin
+      bump b c_int_ins;
+      bump b (if cls = D.cls_mul then c_mul_ins else c_div_ins)
+    end
+    else if cls = D.cls_call then begin
+      bump b c_call_ins;
+      g.sites <- (gpc + 1) :: g.sites
+    end
+    (* the rest but Print: FP arithmetic, compares and conversions *)
+    else if cls <> D.cls_print then bump b c_fp_ins;
+    emit_long g cls
+
+  let mem g gpc write addr =
+    close_run g gpc;
+    bump g.base c_tot_ins;
+    bump g.base (if write then c_sr_ins else c_ld_ins);
+    emit_mem g ~write addr
+
+  let branch g gpc site taken =
+    close_run g gpc;
+    bump g.base c_br_ins;
+    if taken then bump g.base c_br_tkn;
+    g.taken <- taken;
+    emit_branch g site taken
+
+  let jump g gpc =
+    close_run g gpc;
+    (if Array.unsafe_get g.is_ret gpc then
+       match g.sites with
+       | s :: rest ->
+         g.ret_site <- s;
+         g.sites <- rest
+       | [] -> ());
+    emit_long g D.cls_jump
+end
+
+module Run = D.Exec (Model)
+
+(* the function whose code holds global offset [gpc] *)
+let func_at (dp : D.t) gpc =
+  let rec go i =
+    let df = dp.D.funcs.(i) in
+    if gpc < df.D.base + Array.length df.D.code then df else go (i + 1)
+  in
+  go 0
+
+let instr_at dp gpc =
+  let df = func_at dp gpc in
+  df.D.code.(gpc - df.D.base)
+
+(* where control went after the last hooked op *)
+let resume_point g (dp : D.t) =
+  let entry (df : D.dfunc) = df.D.base + df.D.entry_pc in
+  if g.last < 0 then entry dp.D.funcs.(dp.D.main_idx)
+  else
+    let df = func_at dp g.last in
+    let di = df.D.code.(g.last - df.D.base) in
     match di.D.op with
-    | D.OAdd ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a + b)
-    | D.OSub ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a - b)
-    | D.OMul ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      bump bank c_mul_ins;
-      emit_long g cls_mul;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a * b)
-    | D.ODiv ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      bump bank c_div_ins;
-      emit_long g cls_div;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      if b = 0 then D.trap "division by zero" else D.set_int fr di.D.dst (a / b)
-    | D.ORem ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      bump bank c_div_ins;
-      emit_long g cls_div;
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      if b = 0 then D.trap "remainder by zero"
-      else D.set_int fr di.D.dst (a mod b)
-    | D.OAnd ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a land b)
-    | D.OOr ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a lor b)
-    | D.OXor ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (a lxor b)
-    | D.OShl ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      if D.shift_ok b then D.set_int fr di.D.dst (a lsl b)
-      else D.trap "shift count %d" b
-    | D.OShr ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      let b = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geti rt fr di.D.ak di.D.a in
-      if D.shift_ok b then D.set_int fr di.D.dst (a asr b)
-      else D.trap "shift count %d" b
-    | D.OFAdd ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fadd;
-      let b = D.getf rt fr di.D.bk di.D.b in
-      let a = D.getf rt fr di.D.ak di.D.a in
-      D.set_flt fr di.D.dst (a +. b)
-    | D.OFSub ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fadd;
-      let b = D.getf rt fr di.D.bk di.D.b in
-      let a = D.getf rt fr di.D.ak di.D.a in
-      D.set_flt fr di.D.dst (a -. b)
-    | D.OFMul ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fmul;
-      let b = D.getf rt fr di.D.bk di.D.b in
-      let a = D.getf rt fr di.D.ak di.D.a in
-      D.set_flt fr di.D.dst (a *. b)
-    | D.OFDiv ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fdiv;
-      let b = D.getf rt fr di.D.bk di.D.b in
-      let a = D.getf rt fr di.D.ak di.D.a in
-      D.set_flt fr di.D.dst (a /. b)
-    | D.OIeq ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      D.do_icmp rt fr di 0
-    | D.OIne ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      D.do_icmp rt fr di 1
-    | D.OIlt ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      D.do_icmp rt fr di 2
-    | D.OIle ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      D.do_icmp rt fr di 3
-    | D.OIgt ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      D.do_icmp rt fr di 4
-    | D.OIge ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      D.do_icmp rt fr di 5
-    | D.OFeq ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fadd;
-      D.do_fcmp rt fr di 0
-    | D.OFne ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fadd;
-      D.do_fcmp rt fr di 1
-    | D.OFlt ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fadd;
-      D.do_fcmp rt fr di 2
-    | D.OFle ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fadd;
-      D.do_fcmp rt fr di 3
-    | D.OFgt ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fadd;
-      D.do_fcmp rt fr di 4
-    | D.OFge ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fadd;
-      D.do_fcmp rt fr di 5
-    | D.ONot ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      let x = D.getb rt fr di.D.ak di.D.a in
-      D.set_bool fr di.D.dst (not x)
-    | D.OMov ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      D.eval_any rt fr di.D.ak di.D.a;
-      D.set_scratch rt fr di.D.dst
-    | D.OI2f ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fadd;
-      let a = D.geti rt fr di.D.ak di.D.a in
-      D.set_flt fr di.D.dst (float_of_int a)
-    | D.OF2i ->
-      bump bank c_tot_ins;
-      bump bank c_fp_ins;
-      emit_long g cls_fadd;
-      let f = D.getf rt fr di.D.ak di.D.a in
-      if Float.is_nan f || Float.abs f > 4.6e18 then
-        D.trap "float-to-int overflow on %g" f
-      else D.set_int fr di.D.dst (int_of_float f)
-    | D.OLoad ->
-      bump bank c_tot_ins;
-      bump bank c_ld_ins;
-      let ix = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geta rt fr di.D.ak di.D.a in
-      let len = D.arr_len a in
-      if ix < 0 || ix >= len then
-        D.trap "load out of bounds: index %d, length %d" ix len;
-      emit_mem g ~write:false (a.Interp.base + (ix * a.Interp.esize));
-      (match a.Interp.payload with
-      | Interp.IA x -> D.set_int fr di.D.dst (Array.unsafe_get x ix)
-      | Interp.FA x -> D.set_flt fr di.D.dst (Array.unsafe_get x ix))
-    | D.OStore ->
-      bump bank c_tot_ins;
-      bump bank c_sr_ins;
-      D.eval_any rt fr di.D.ck di.D.c;
-      let vtag = rt.D.s_tag in
-      let vi = rt.D.s_int and vf = rt.D.s_flt in
-      let ix = D.geti rt fr di.D.bk di.D.b in
-      let a = D.geta rt fr di.D.ak di.D.a in
-      let len = D.arr_len a in
-      if ix < 0 || ix >= len then
-        D.trap "store out of bounds: index %d, length %d" ix len;
-      (* the cache sees the store before the element-type check, exactly
-         like the reference's on_store hook *)
-      emit_mem g ~write:true (a.Interp.base + (ix * a.Interp.esize));
-      (match a.Interp.payload with
-      | Interp.IA x ->
-        if vtag = 1 then
-          Array.unsafe_set x ix
-            (if a.Interp.mask32 then vi land 0xFFFFFFFF else vi)
-        else D.trap "storing non-int into int array"
-      | Interp.FA x ->
-        if vtag = 2 then Array.unsafe_set x ix vf
-        else D.trap "storing non-float into float array")
-    | D.OAlen ->
-      bump bank c_tot_ins;
-      bump bank c_int_ins;
-      emit_simple g (Array.unsafe_get sigrow at);
-      let a = D.geta rt fr di.D.ak di.D.a in
-      D.set_int fr di.D.dst (D.arr_len a)
-    | D.OCall ->
-      bump bank c_tot_ins;
-      bump bank c_call_ins;
-      emit_long g cls_call;
-      let args = di.D.args in
-      let nargs = Array.length args / 2 in
-      for j = 0 to nargs - 1 do
-        D.eval_any rt fr
-          (Array.unsafe_get args (2 * j))
-          (Array.unsafe_get args ((2 * j) + 1));
-        D.save_arg rt j
-      done;
-      if di.D.callee < 0 then D.trap "call to unknown function %s" di.D.sname;
-      do_call rt g di.D.callee nargs;
-      if di.D.dst >= 0 then D.set_scratch rt fr di.D.dst
-    | D.OPrint ->
-      bump bank c_tot_ins;
-      emit_long g cls_print;
-      D.eval_any rt fr di.D.ak di.D.a;
-      Buffer.add_string rt.D.buf
-        (match rt.D.s_tag with
-        | 1 -> string_of_int rt.D.s_int
-        | 2 -> Printf.sprintf "%.6g" rt.D.s_flt
-        | 3 -> if rt.D.s_int <> 0 then "true" else "false"
-        | _ -> "<array>");
-      Buffer.add_char rt.D.buf '\n'
-    | D.OJmp ->
-      emit_long g cls_jump;
-      pc := di.D.dst
-    | D.OBr ->
-      (* condition evaluates (and may trap) before any branch
-         accounting, like the reference's [as_bool] before on_branch *)
-      let taken = D.getb rt fr di.D.ak di.D.a in
-      bump bank c_br_ins;
-      if taken then bump bank c_br_tkn;
-      emit_branch g di.D.c taken;
-      pc := if taken then di.D.dst else di.D.b
-    | D.ORetN ->
-      emit_long g cls_jump;
-      rt.D.s_tag <- 0;
-      running := false
-    | D.ORetV ->
-      (* on_jump fires before the return operand is evaluated *)
-      emit_long g cls_jump;
-      D.eval_any rt fr di.D.ak di.D.a;
-      running := false
-    | D.OBadLabel ->
-      raise
-        (Invalid_argument
-           (Printf.sprintf "Ir.find_block: no block %d in %s" di.D.a
-              fr.D.df.D.fname))
-  done
+    | D.OBr -> df.D.base + if g.taken then di.D.dst else di.D.b
+    | D.OJmp -> df.D.base + di.D.dst
+    | D.ORetN | D.ORetV -> g.ret_site
+    | D.OCall -> entry dp.D.funcs.(di.D.callee)
+    | _ -> g.last + 1
 
-and do_call (rt : D.rt) (g : gt) fidx nargs : unit =
-  let df = rt.D.dp.D.funcs.(fidx) in
-  if nargs <> Array.length df.D.params then
-    D.trap "arity mismatch calling %s" df.D.fname;
-  let fr = D.new_frame rt.D.dp fidx in
-  D.bind_params rt fr nargs;
-  let saved_sp = rt.D.sp in
-  fr.D.locals <- D.alloc_locals rt df;
-  exec rt g fr g.sigmap.(fidx);
-  rt.D.sp <- saved_sp
+(* A trap or fuel exhaustion stopped the run [steps] in.  The steps no
+   hook accounted for are the first slots of the static run that
+   control entered after the last hook, all simple but the last when
+   that op trapped before its hook.  Such a load or store still counts
+   (TOT_INS and LD_INS or SR_INS, with no event); a branch whose
+   condition trapped counts nothing.  The op that ran out of fuel never
+   ran. *)
+let charge_stop g dp ~steps ~exhausted =
+  let k = steps - g.accounted - if exhausted then 1 else 0 in
+  if k > 0 then begin
+    let r = resume_point g dp in
+    match (instr_at dp (r + k - 1)).D.op with
+    | op when D.is_simple op -> simple_ops g g.sid.(r) k
+    | op ->
+      simple_ops g g.sid.(r) (k - 1);
+      if op = D.OLoad || op = D.OStore then begin
+        bump g.base c_tot_ins;
+        bump g.base (if op = D.OStore then c_sr_ins else c_ld_ins)
+      end
+  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -569,17 +355,15 @@ let generate ?(fuel = 200_000_000) (dp : D.t) : t =
   let go () =
     let rt = D.make_rt ~fuel dp in
     let g = mk_gt dp in
-    if dp.D.main_idx < 0 then
-      D.trap "call to unknown function %s" dp.D.main_name;
-    let outcome, ret =
-      match do_call rt g dp.D.main_idx 0 with
-      | () -> (Finished, (D.result_of rt).Interp.ret)
-      | exception Interp.Trap m -> (Trapped m, Interp.VUndef)
-      | exception Interp.Out_of_fuel -> (Exhausted, Interp.VUndef)
+    (* a missing main traps before anything runs, and escapes *)
+    let outcome =
+      match Run.start rt g with
+      | () -> Finished
+      | exception Interp.Trap m when dp.D.main_idx >= 0 -> Trapped m
+      | exception Interp.Out_of_fuel -> Exhausted
     in
-    (* a pending run (simple or long — never both) was accounted before
-       the stop — write it *)
-    flush_run g;
+    let r = D.result_of rt in
+    charge_stop g dp ~steps:r.Interp.steps ~exhausted:(outcome = Exhausted);
     flush_lrun g;
     let sentinel = g.max_reg + 1 in
     let nsig = Array.length g.sig_uses in
@@ -601,9 +385,9 @@ let generate ?(fuel = 200_000_000) (dp : D.t) : t =
       max_reg = g.max_reg;
       base = g.base;
       outcome;
-      ret;
-      output = Buffer.contents rt.D.buf;
-      steps = rt.D.steps;
+      ret = (if outcome = Finished then r.Interp.ret else Interp.VUndef);
+      output = r.Interp.output;
+      steps = r.Interp.steps;
     }
   in
   let tr =

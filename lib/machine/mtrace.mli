@@ -1,11 +1,11 @@
 (** Trace generation: the "trace once" half of trace-once/model-many.
 
-    One run of {!Mira.Decode.Exec}'s dispatch loop over a decoded
-    program, recording the model-relevant event stream — instruction-class
-    retirements with their use-arrays, load/store byte addresses, branch
-    sites with taken bits, call/print/jump serializers — as one packed
-    int per event, in program order.  {!Replay} then folds that stream
-    through the config-dependent accounting once per machine config.
+    One run of {!Mira.Decode.Exec}, the one dispatch loop, over a model
+    whose hooks record the model-relevant event stream — runs of
+    simple-issue ops by issue signature, long-latency classes, load/store
+    byte addresses, branch sites with taken bits — as one packed int per
+    event, in program order.  {!Replay} then folds that stream through
+    the config-dependent accounting once per machine config.
 
     Nothing here reads {!Config.t}: a program's dynamic instruction and
     memory-reference stream is a property of the program alone, so one
@@ -15,11 +15,13 @@
     into {!field:t.base}; only TOT_CYC, BR_MSP and the cache counters
     are left to the replay pass.
 
-    The execution arms mirror [Decode.Exec] line for line, and every
-    event is emitted where that loop fires the matching model hook (a
-    simple op's before its operands are read) — so a trapping or
-    fuel-exhausted run leaves exactly the prefix of events accounted
-    before stopping. *)
+    Simple-issue ops fire no hook.  The hook of the op that ends a
+    static run of them writes the whole run, which has just executed
+    once (see {!Mira.Decode.MODEL}).  A trap or fuel exhaustion can stop
+    a run part-way; generation then writes the executed prefix of that
+    run from the steps no hook accounted for, so a stopped trace holds
+    exactly the events and counters of the ops that ran before the
+    stop. *)
 
 (** {2 Event encoding}
 
@@ -29,10 +31,11 @@
       [lor] (run length - 1): a run of consecutive simple-issue events
       whose signature ids (indices into {!field:t.sig_uses} /
       {!field:t.sig_dst}) are id, id+1, ...  Signature ids follow static
-      code order, so straight-line stretches of simple ops coalesce into
-      one word; a run never spans another event;
+      code order, so a static run of simple ops is one word, or one per
+      [2 ^ run_bits] ops; a run never spans another event;
     - {!tag_long}: payload = ((run length - 1) [lsl] {!cls_bits}) [lor]
-      latency class ({!cls_mul} .. {!cls_jump}): a run of consecutive
+      latency class ({!Mira.Decode.cls_mul} .. {!Mira.Decode.cls_jump},
+      priced per config by {!Flatsim.lat_table}): a run of consecutive
       long-latency events of the same class, mapped to the config's
       latency at replay time and folded in O(1) (one bundle drain, then
       pure cycle arithmetic); a run never spans another event;
@@ -51,27 +54,6 @@ val run_bits : int
 val cls_bits : int
 (** width of the latency-class field in a {!tag_long} word; the run
     length occupies the bits above it *)
-
-(** latency classes for {!tag_long} events: {!Mira.Decode}'s
-    [cls_*], priced per config by {!Flatsim.lat_table} *)
-
-val cls_mul : int    (** [lat_mul] *)
-
-val cls_div : int    (** [lat_div]: Div and Rem *)
-
-val cls_fadd : int   (** [lat_fadd]: FP add/sub/cmp and conversions *)
-
-val cls_fmul : int   (** [lat_fmul] *)
-
-val cls_fdiv : int   (** [lat_fdiv] *)
-
-val cls_call : int   (** [call_overhead] *)
-
-val cls_print : int  (** [print_cost] *)
-
-val cls_jump : int   (** [jump_cost]: Jmp and Ret *)
-
-val cls_count : int
 
 (** how the traced execution ended; a non-[Finished] trace still holds
     the event prefix accounted before the stop, and {!Replay} re-raises

@@ -1,10 +1,11 @@
 module Interp = Mira.Interp
 
-(* Model-many half of the trace-once/model-many split: fold a recorded
-   event stream (Mtrace) through the config-dependent machine model.
-   The fold runs in Flatsim's unit, over Flatsim's own mt state, cache,
-   predictor and latency code, so those agree with the flat engine
-   structurally.  Bundle issue is Sim's per-op rule here
+(* Model-many half of the trace-once/model-many split: fold an event
+   stream that Mtrace recorded (Decode.Exec, the loop Flatsim prices
+   live, over a recording model) through the config-dependent machine
+   model.  The fold runs in Flatsim's unit, over Flatsim's own mt
+   state, cache, predictor and latency code, so those agree with the
+   flat engine structurally.  Bundle issue is Sim's per-op rule here
    (Flatsim.issue_simple_pre) and a per-run table in the flat engine;
    the three-way differential tests hold the two together.
 

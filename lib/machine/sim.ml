@@ -18,7 +18,7 @@ module Interp = Mira.Interp
    The model is deterministic: same program + config => same cycle count,
    which the experiments rely on (DESIGN.md, decision 2). *)
 
-type result = {
+type result = Flatsim.result = {
   cycles : int;
   counters : Counters.bank;
   ret : Interp.value;
@@ -241,20 +241,10 @@ let run_ref ~config ~fuel (p : Ir.program) : result =
   r
 
 let run_flatsim ~config ~fuel dp : result =
-  let go () =
-    let r = Flatsim.run ~config ~fuel dp in
-    {
-      cycles = r.Flatsim.cycles;
-      counters = r.Flatsim.counters;
-      ret = r.Flatsim.ret;
-      output = r.Flatsim.output;
-      steps = r.Flatsim.steps;
-    }
-  in
   Obs.Metrics.incr flat_runs;
   let r =
     Obs.span_with ~cat:"flatsim" ~hist:execute_ms "flatsim.run"
-      ~end_args:result_args go
+      ~end_args:result_args (fun () -> Flatsim.run ~config ~fuel dp)
   in
   Obs.Metrics.observe cycles_hist (float_of_int r.cycles);
   r
@@ -264,15 +254,6 @@ let run_flatsim ~config ~fuel dp : result =
 let run_flat ~config ~fuel (p : Ir.program) : result =
   run_flatsim ~config ~fuel (Mira.Decode.decode p)
 
-let of_flatsim (r : Flatsim.result) : result =
-  {
-    cycles = r.Flatsim.cycles;
-    counters = r.Flatsim.counters;
-    ret = r.Flatsim.ret;
-    output = r.Flatsim.output;
-    steps = r.Flatsim.steps;
-  }
-
 (* Trace path: generate the config-independent event trace, then replay
    the machine model over it.  Mtrace/Replay carry their own spans and
    histograms; this wrapper keeps sim.execute_ms / sim.cycles comparable
@@ -280,8 +261,7 @@ let of_flatsim (r : Flatsim.result) : result =
 let run_trace ~config ~fuel (p : Ir.program) : result =
   Obs.Metrics.incr trace_runs;
   let go () =
-    let tr = Mtrace.generate ~fuel (Mira.Decode.decode p) in
-    of_flatsim (Replay.run ~config tr)
+    Replay.run ~config (Mtrace.generate ~fuel (Mira.Decode.decode p))
   in
   let r =
     Obs.span_with ~cat:"sim" ~hist:execute_ms "tracesim.run"
@@ -306,8 +286,7 @@ let run ?engine ?(config = Config.default) ?(fuel = default_fuel)
    a sequential fold over the whole trace (Replay.run_grid). *)
 let run_grid ?(fuel = default_fuel) ~(configs : Config.t array)
     (p : Ir.program) : result array =
-  let tr = Mtrace.generate ~fuel (Mira.Decode.decode p) in
-  Array.map of_flatsim (Replay.run_grid ~configs tr)
+  Replay.run_grid ~configs (Mtrace.generate ~fuel (Mira.Decode.decode p))
 
 (* run a pre-decoded program (callers that execute the same program many
    times, e.g. the benchmarks, pay the decode cost once) *)

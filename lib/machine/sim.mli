@@ -8,7 +8,9 @@
     linkage overheads for calls.  Deterministic: same program and config
     always give the same cycle count. *)
 
-type result = {
+(** the one result type of every engine: {!Flatsim} and {!Replay}
+    produce it too *)
+type result = Flatsim.result = {
   cycles : int;
   counters : Counters.bank;
   ret : Mira.Interp.value;
@@ -55,11 +57,6 @@ val run_decoded : ?config:Config.t -> ?fuel:int -> Mira.Decode.t -> result
     @raise Mira.Interp.Out_of_fuel when the step budget is exhausted *)
 val run_grid :
   ?fuel:int -> configs:Config.t array -> Mira.Ir.program -> result array
-
-(** convert a {!Flatsim.result} (also what {!Replay.run} produces) —
-    for callers that drive {!Replay} themselves, e.g. the engine's
-    grid and trace-store paths *)
-val of_flatsim : Flatsim.result -> result
 
 (** How a measured run ended.  [Trapped] and [Exhausted] are distinct on
     purpose: fuel exhaustion is deterministic, so search strategies can

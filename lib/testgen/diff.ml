@@ -52,11 +52,13 @@ let diff_plain ?fuel (p : Mira.Ir.program) : string list =
 (* ------------------------------------------------------------------ *)
 (* Under the machine simulator: three-way, with the hooked reference
    interpreter as the semantics-and-model oracle.  Flat (the production
-   engine: Decode.Exec with Flatsim's model) and Trace (Mtrace
-   generation + Replay) are each compared field-by-field against Ref; a
-   trace-only disagreement means the event encoding or the replay
-   accounting drifted from the flat engine's, a both-engines
-   disagreement points at the shared decode or model code.
+   engine: Decode.Exec with Flatsim's model) and Trace (Decode.Exec with
+   Mtrace's model, then Replay) are each compared field-by-field against
+   Ref.  Both run the same dispatch loop, so a trace-only disagreement
+   means the event recording, the stop rule for a trapped or exhausted
+   run, or the replay accounting drifted from the flat engine's; a
+   both-engines disagreement points at the shared loop, decode or model
+   code.
    Messages carry the config name and the disagreeing engine, e.g.
    "cycles[c6713_like]: ref=412 trace=409". *)
 
@@ -121,9 +123,7 @@ let diff_sim ?(config = Mach.Config.default) ?fuel (p : Mira.Ir.program) :
       if not (Mach.Mtrace.equal tr tr') then
         [ Printf.sprintf "trace codec[%s]: round-trip not bit-exact" tag ]
       else
-        against "store"
-          (catching (fun () ->
-               Mach.Sim.of_flatsim (Mach.Replay.run ~config tr')))
+        against "store" (catching (fun () -> Mach.Replay.run ~config tr'))
   in
   List.concat_map
     (fun e -> against (Mach.Sim.engine_name e) (run e))

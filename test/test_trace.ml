@@ -1,8 +1,9 @@
 (* Property tests of the trace-once/model-many layer: the config
    independence of {!Mach.Mtrace} traces, the grid/singleton and
    grid/full-simulation agreements of {!Mach.Replay}, truncated-prefix
-   semantics for traps and fuel exhaustion, the bounded trace cache, and
-   a regression lock on {!Mach.Config.digest} covering every field. *)
+   semantics for traps and fuel exhaustion, pinned trace bytes, the
+   bounded trace cache, and a regression lock on {!Mach.Config.digest}
+   covering every field. *)
 
 module Interp = Mira.Interp
 module Mtrace = Mach.Mtrace
@@ -160,6 +161,199 @@ let test_fuel_prefix () =
       | ds ->
         Alcotest.failf "fuel %d: %s" fuel (String.concat "; " ds))
     [ steps - 1; steps; steps + 1 ]
+
+(* --- pinned trace bytes ----------------------------------------------- *)
+
+(* The tests above compare engines with each other; these compare trace
+   contents with fixed values, so that a change to how traces are
+   generated cannot move a trace's bytes, a trapped trace's prefix or
+   the event buffer's capacity (Tcache charges the capacity) unnoticed.
+   A mismatch prints both sides; an intentional format change updates
+   the tables from that output. *)
+
+let levels =
+  [ ("O0", Passes.Pass.o0); ("O2", Passes.Pass.o2); ("Ofast", Passes.Pass.ofast) ]
+
+let check_pins what (expected : (string * string) list)
+    (actual : (string * string) list) =
+  let bad =
+    List.filter_map
+      (fun (name, got) ->
+        match List.assoc_opt name expected with
+        | Some want when want = got -> None
+        | want ->
+          Some
+            (Printf.sprintf "%s: expected %s, got %s" name
+               (Option.value want ~default:"(none)")
+               got))
+      actual
+  in
+  if bad <> [] || List.length expected <> List.length actual then
+    Alcotest.failf "%s: %d of %d pins differ (%d expected)\n%s" what
+      (List.length bad) (List.length actual) (List.length expected)
+      (String.concat "\n" bad)
+
+(* MD5 of the encoding and the event capacity of each suite variant *)
+let suite_pins =
+  [
+    ("adpcm/O0", "8614368bd0350eaee8ff7d5dd5e95bc2/524288");
+    ("adpcm/O2", "60b95d104b18f654f47c1858dabb740a/524288");
+    ("adpcm/Ofast", "dd62c568c58e550ee9b614810903fced/524288");
+    ("mcf_spars/O0", "d80a520a8dba4c6a92e9f92bf39ec485/2097152");
+    ("mcf_spars/O2", "88d626bc7fa28ef32d8d4d0c347e5f04/2097152");
+    ("mcf_spars/Ofast", "05b792290183185524b45044fabdd2bd/1048576");
+    ("matmul/O0", "daee8873ef0ab892059342c52fbad60f/2097152");
+    ("matmul/O2", "89d1ce1e8f6ca0b87908bcca27adc8e3/2097152");
+    ("matmul/Ofast", "01056dad6b77fd19335173925cf90acb/1048576");
+    ("fir/O0", "365a26091dc0ddec9cf64742d62bba39/2097152");
+    ("fir/O2", "e2d0e157a25a9c0e4db0731134dd5ace/2097152");
+    ("fir/Ofast", "7ad621e7c8912696a452306a1a84033b/1048576");
+    ("crc32/O0", "e013295bfce2e4b17f7809679480a991/262144");
+    ("crc32/O2", "b96bacc450e9e64b3099a779b28573d5/262144");
+    ("crc32/Ofast", "bea1441269467cd0f34595ffbfaf603a/262144");
+    ("bitcount/O0", "adbec5c7954fe19e853e92a617fdab73/2097152");
+    ("bitcount/O2", "b81f1f4c6d76747cbe4c3a7a141c48ee/2097152");
+    ("bitcount/Ofast", "d40a9d18538e63c2ee76ad04c896d43c/2097152");
+    ("dijkstra/O0", "b10a4a9b6aad643a94e3ad4763d666d9/2097152");
+    ("dijkstra/O2", "d6d64a9048aa3d07cb451ad1e3204084/2097152");
+    ("dijkstra/Ofast", "fb731fc27c73bfaed2754726f2952242/1048576");
+    ("qsort/O0", "97b2383c55eefc00af541d92d97ffe92/524288");
+    ("qsort/O2", "482dc049f4ad4dc89b460486af40f136/524288");
+    ("qsort/Ofast", "9f66105b12a0a9831b9a6d60517b5265/524288");
+    ("histogram/O0", "9e77173f44f11f8e666fca9a39ca6b51/524288");
+    ("histogram/O2", "af47e0432e7fea6d7c25a63ab4f10e3a/524288");
+    ("histogram/Ofast", "b08cef6f567b0ae9511491bd69eb2b50/524288");
+    ("nbody/O0", "4d24dfce99d09a55d8f01c54fd0ee450/1048576");
+    ("nbody/O2", "47a5b72ca6b7c0fbad112720fdf0555c/1048576");
+    ("nbody/Ofast", "1a5cc91582a97cde156b74c8cf604f78/1048576");
+    ("stencil2d/O0", "8543fcd70f415a4f6351c7e00d2c2e05/2097152");
+    ("stencil2d/O2", "e5f378e503c88c2db1f3278545707de8/2097152");
+    ("stencil2d/Ofast", "d822501ff6b82bc46077acc929752a64/1048576");
+    ("susan/O0", "7e04ca009110196f8f0123cb5bec2f66/2097152");
+    ("susan/O2", "9aebd2227868d2cd8f452f8069f9567e/1048576");
+    ("susan/Ofast", "a9135b4bbbd6b63fec1044c85dd86490/1048576");
+    ("sha_mix/O0", "a00903480bcda1f97686faa8397d6c6b/524288");
+    ("sha_mix/O2", "8a0114a867f4d25b593d59766eda1d61/524288");
+    ("sha_mix/Ofast", "fdbf0376e272d959b5188db9672f05d9/65536");
+    ("strsearch/O0", "44ddc09c41e05615a9e53114b5c380e5/524288");
+    ("strsearch/O2", "dded74bf74360a509e098ffffc3e5e09/524288");
+    ("strsearch/Ofast", "c4f27b4c381b2b19a4f17b937053e181/524288");
+    ("jacobi/O0", "1d0d6d0d658ea7845d49c17ef3738a32/2097152");
+    ("jacobi/O2", "9d284b657c7b5a13b3644305d9136ead/2097152");
+    ("jacobi/Ofast", "9e1f96b452e9fb21e1ce6a4642dad0ee/2097152");
+    ("lud/O0", "c96135d7f59119e9beb3e180975ea45d/2097152");
+    ("lud/O2", "4bf15872a028d81710b66e6cf96d5fd5/1048576");
+    ("lud/Ofast", "2bdcba8f290390671038aab80244fd3b/1048576");
+    ("blowfish/O0", "1815cf3c116bf1b19bff8f9fd99d1d30/1048576");
+    ("blowfish/O2", "32788aebb61459329f0f941b253f155b/1048576");
+    ("blowfish/Ofast", "600fd03a162a01e108239bc068bea4e7/524288");
+    ("spmv/O0", "7c7cea03468388ab68a96104963837db/2097152");
+    ("spmv/O2", "a0bb0091f1dc7fe7932dbba174cf5e35/2097152");
+    ("spmv/Ofast", "20298b34c5fcc9834816cea2548239ea/2097152");
+  ]
+
+let test_suite_trace_bytes () =
+  check_pins "suite traces" suite_pins
+    (List.concat_map
+       (fun (w : Workloads.t) ->
+         List.map
+           (fun (level, seq) ->
+             let p = Passes.Pass.apply_sequence seq (Workloads.program w) in
+             let tr = Mtrace.generate_program ~fuel p in
+             ( w.Workloads.name ^ "/" ^ level,
+               Printf.sprintf "%s/%d"
+                 (Digest.to_hex (Digest.string (Mtrace.encode tr)))
+                 (Array.length tr.Mtrace.events) ))
+           levels)
+       Workloads.all)
+
+(* Trapping programs, each traced at every fuel from 1 to one past its
+   trapped run's steps, so every stop point inside every run of simple
+   ops is covered, at each level. *)
+let trap_programs =
+  [
+    ( "division",
+      {|fn main() -> int {
+          var s: int = 0;
+          for i = 0 to 10 { s = s + i; }
+          print(s);
+          return 1 / (s - s);
+        }|} );
+    ( "load bounds",
+      {|global g: int[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+        fn main() -> int {
+          var s: int = 0;
+          for i = 0 to 12 { s = (s + g[i]) ^ i; }
+          return s;
+        }|} );
+    ( "store bounds",
+      {|fn main() -> int {
+          var a: float[6];
+          var s: int = 0;
+          for i = 0 to 9 { s = s + (i & 3); a[i] = 0.5; }
+          return s;
+        }|} );
+    ( "callee entry",
+      {|fn f(x: int, k: int) -> int {
+          var y: int = (x + 1) ^ k;
+          return y << k;
+        }
+        fn main() -> int {
+          var s: int = 0;
+          for i = 0 to 70 { s = s + f(i, i); }
+          return s;
+        }|} );
+    ( "after return",
+      {|fn g(x: int) -> int { return x * 3; }
+        fn main() -> int {
+          var s: int = 0;
+          for i = 0 to 70 { s = (s + (g(i) << i)) & 65535; }
+          return s;
+        }|} );
+    (* a static run of simple ops longer than a simple word holds *)
+    ( "long run",
+      Printf.sprintf
+        {|fn main() -> int {
+            var s: int = 1;
+            for i = 0 to 2 { %s }
+            return s / (s - s);
+          }|}
+        (String.concat " "
+           (List.init 120 (fun k -> Printf.sprintf "s = (s ^ i) + %d;" k))) );
+  ]
+
+let trap_pins =
+  [
+    ("division", "13d5930c4c52c0a8fca2697ae89632ac");
+    ("load bounds", "0f4b257efbd90ed3ff02a899772dfe7e");
+    ("store bounds", "515c71678a177035457355abe88d97b3");
+    ("callee entry", "9446c209f94f02fd1058ad6d9df9d3e0");
+    ("after return", "3823ad570857b67245800573d3fab5e1");
+    ("long run", "f4f365b48acdbb087c4b9624ca1a06f6");
+  ]
+
+let test_trap_trace_bytes () =
+  check_pins "trapped traces" trap_pins
+    (List.map
+       (fun (name, src) ->
+         let p = compile src in
+         let b = Buffer.create 4096 in
+         List.iter
+           (fun (level, seq) ->
+             let dp = Mira.Decode.decode (Passes.Pass.apply_sequence seq p) in
+             let full = Mtrace.generate ~fuel dp in
+             (match full.Mtrace.outcome with
+             | Mtrace.Trapped _ -> ()
+             | o ->
+               Alcotest.failf "%s/%s: expected a trap, got %s" name level
+                 (Mtrace.outcome_repr o));
+             for fuel = 1 to full.Mtrace.steps + 1 do
+               Buffer.add_string b
+                 (Digest.string (Mtrace.encode (Mtrace.generate ~fuel dp)))
+             done)
+           levels;
+         (name, Digest.to_hex (Digest.string (Buffer.contents b))))
+       trap_programs)
 
 (* --- Config.digest covers every field -------------------------------- *)
 
@@ -360,6 +554,9 @@ let suite =
         t "fuel exhaustion boundary" test_fuel_prefix;
         t "Config.digest covers every field"
           test_config_digest_covers_every_field;
+        slow "suite trace bytes are pinned" test_suite_trace_bytes;
+        t "trapped trace bytes are pinned at every fuel"
+          test_trap_trace_bytes;
       ] );
     ( "trace-cache",
       [
