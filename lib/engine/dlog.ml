@@ -5,7 +5,9 @@
      <sum8>|<payload>\n
      \nTSE1|<sum8>|<key32>|<len>\n<len payload bytes>\n
 
-   with <sum8> the first 8 hex chars of MD5(payload). *)
+   with <sum8> the first 8 hex chars of MD5(payload) for a line, and of
+   MD5(<key32> ^ payload) for a blob, so that damage to a blob's key
+   quarantines it instead of filing it under another key. *)
 
 exception Error of string
 
@@ -56,6 +58,9 @@ let quarantine log =
 let checksum payload = String.sub (Digest.to_hex (Digest.string payload)) 0 8
 let seal payload = checksum payload ^ "|" ^ payload
 
+(* a blob's checksum covers its key as well as its payload *)
+let blob_sum k payload = checksum (k ^ payload)
+
 let unseal line =
   if String.length line >= 9 && line.[8] = '|' then
     let payload = String.sub line 9 (String.length line - 9) in
@@ -83,7 +88,7 @@ let marker line =
 let frame spec k v =
   let payload = spec.print k v in
   if spec.blob then
-    ( Printf.sprintf "\nTSE1|%s|%s|%d\n" (checksum payload) k
+    ( Printf.sprintf "\nTSE1|%s|%s|%d\n" (blob_sum k payload) k
         (String.length payload),
       payload )
   else ("", seal payload)
@@ -118,8 +123,8 @@ let entries spec ic ~parse ~bad f =
             if len >= size - off then None
             else
               let p = really_input_string ic len in
-              if input_char ic = '\n' && String.equal (checksum p) sum then
-                Some p
+              if input_char ic = '\n' && String.equal (blob_sum k p) sum
+              then Some p
               else None
           in
           match payload with

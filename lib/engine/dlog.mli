@@ -4,7 +4,8 @@
     A log is a header line, then entries framed as sealed lines
     [<sum8>|<payload>\n] or as blobs
     [\nTSE1|<sum8>|<key32>|<len>\n<payload>\n], [<sum8>] being the first
-    8 hex characters of the payload's MD5.  One scanner reads both.  An
+    8 hex characters of the MD5 of a line's payload, or of a blob's key
+    followed by its payload.  One scanner reads both.  An
     entry whose frame, checksum or [spec.parse] fails is quarantined:
     counted and dropped, never fatal; after a damaged blob the scan
     resumes behind its marker line.  The last entry for a key wins.  An

@@ -8,11 +8,11 @@
    config against known code costs one model fold instead of a full
    semantic re-execution.
 
-   Traces are big (one word per dynamic event), so the budget is total
-   retained words, not entry count.  Eviction is LRU via the same
-   stamp-queue discipline Rcache uses: each touch pushes a (key, stamp)
-   marker; stale markers (stamp no longer current) are skipped when the
-   budget forces eviction. *)
+   Traces are big (one word per dynamic memory access and branch), so
+   the budget is total retained words, not entry count.  Eviction is
+   LRU via the same stamp-queue discipline Rcache uses: each touch
+   pushes a (key, stamp) marker; stale markers (stamp no longer
+   current) are skipped when the budget forces eviction. *)
 
 module Mtrace = Mach.Mtrace
 
@@ -31,8 +31,8 @@ type t = {
   store : Tstore.t option; (* durable tier: miss -> store -> generate *)
 }
 
-(* 8M words = 64 MiB of events on a 64-bit host; a few hundred traces
-   of the benchmark workloads' size. *)
+(* 8M words = 64 MiB on a 64-bit host: about half of the perfbench
+   grid's 54 suite traces, which hold 16.1M stream words in all. *)
 let default_capacity_words = 8 * 1024 * 1024
 
 let m_hits = Obs.Metrics.counter "tcache.hits"
@@ -61,11 +61,17 @@ let create ?(capacity_words = default_capacity_words) ?store () =
 
 let key ~ir_digest ~fuel = ir_digest ^ "\x00" ^ string_of_int fuel
 
-(* Retained footprint of a trace, in words: the event buffer (its full
-   capacity, not just the meaningful prefix) plus the per-signature
-   columns (uses array + row, dst, u0, u1 — about five words each). *)
+(* Retained footprint of a trace, in words: what the trace holds, as a
+   finished trace's arrays are exact-length.  The record, its output,
+   the stream, about four words per signature (the row pointer, the
+   uses array and dst) and three per run; a stopped trace holds only
+   the record and its output. *)
 let words_of (tr : Mtrace.t) =
-  Array.length tr.Mtrace.events + (5 * Array.length tr.Mtrace.sig_dst)
+  16
+  + (String.length tr.Mtrace.output / 8)
+  + tr.Mtrace.n
+  + (4 * Array.length tr.Mtrace.sig_dst)
+  + (3 * Array.length tr.Mtrace.run_first)
 
 let touch t key slot =
   t.clock <- t.clock + 1;

@@ -10,9 +10,9 @@
     code on a new config costs one model fold instead of a semantic
     re-execution.
 
-    Traces are one word per dynamic event, so the budget is total
-    retained words (default {!default_capacity_words} = 8M, 64 MiB of
-    events); eviction is LRU.  A single trace larger than the whole
+    Traces are one word per dynamic memory access and branch, so the
+    budget is total retained words (default {!default_capacity_words} =
+    8M, 64 MiB); eviction is LRU.  A single trace larger than the whole
     budget is generated, returned, and not retained. *)
 
 type t

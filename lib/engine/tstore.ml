@@ -1,11 +1,14 @@
 (* Persistent on-disk trace store: the cross-run / cross-worker tier
    below Engine.Tcache (see DESIGN.md "Trace store").  A durable log of
-   blobs (store.log, header "mira-tstore 1", see Dlog) keyed by <key32>,
+   blobs (store.log, header "mira-tstore 2", see Dlog) keyed by <key32>,
    the MD5 hex of (compiled-IR digest, fuel) — the identity Tcache keys
-   on, hashed so the marker line needs no quoting.  The payload is
-   Mtrace.encode's varint/delta form, so a trace costs a couple of bytes
-   per event word instead of the in-memory array's eight; memory holds
-   only each payload's offset.
+   on, hashed so the marker line needs no quoting.  Each blob's checksum
+   covers its key and its payload.  The payload is Mtrace.encode's
+   varint/delta form, so a trace costs two to four bytes per stream
+   word instead of the in-memory array's eight; memory holds only each
+   payload's offset.  A format-1 log (payload-only checksums, an older
+   codec) is read as legacy: every entry is quarantined at open and the
+   log rewritten empty.
 
    Injection point consulted here (see Faults): tstore-write, on each
    append; Dlog adds stale-lock and compact-crash. *)
@@ -45,8 +48,8 @@ let spec =
     noun = "trace store";
     file = "store.log";
     lock = "tstore.lock";
-    magic = "mira-tstore 1";
-    legacy = [];
+    magic = "mira-tstore 2";
+    legacy = [ "mira-tstore 1" ];
     blob = true;
     parse = (fun marker payload -> Option.map (fun k -> (k, payload)) marker);
     print = (fun _ payload -> payload);

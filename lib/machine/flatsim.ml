@@ -6,7 +6,10 @@ module D = Mira.Decode
    the contract.  The accounting mirrors Sim.on_instr / on_branch /
    hooks_of; Decode.Exec fires each hook where the reference fires its
    accounting relative to the semantics, so a run's cycles and counters
-   match Sim's whenever the run finishes. *)
+   match Sim's whenever the run finishes.  The trace engine prices a
+   recorded run with the same pieces: run_cycles for its run table,
+   charge_blocks for its base bank and fold_stream for its memory and
+   branch stream. *)
 
 type result = {
   cycles : int;
@@ -24,9 +27,6 @@ type mt = {
   l2 : Cache.t;
   bp : Predictor.t;
   mutable cycles : int;
-  mutable bundle : int;
-  mutable bundle_id : int;
-  mutable stamps : int array;
   issue_width : int;
   lat_mul : int;
   lat_div : int;
@@ -50,9 +50,6 @@ let mk_mt (cfg : Config.t) : mt =
     l2 = Cache.make cfg.Config.l2;
     bp = Predictor.make ~size:cfg.Config.predictor_size ();
     cycles = 0;
-    bundle = 0;
-    bundle_id = 1;
-    stamps = Array.make 256 0;
     issue_width = cfg.Config.issue_width;
     lat_mul = cfg.Config.lat_mul;
     lat_div = cfg.Config.lat_div;
@@ -98,32 +95,6 @@ let c_l2_stm = Counters.to_index Counters.L2_STM
 let[@inline] bump (b : Counters.bank) i =
   Array.unsafe_set b i (Array.unsafe_get b i + 1)
 
-let[@inline] close_bundle mt =
-  if mt.bundle > 0 then mt.cycles <- mt.cycles + 1;
-  mt.bundle <- 0;
-  mt.bundle_id <- mt.bundle_id + 1
-
-(* Sim.issue_simple for the replay fold, which pre-sizes [stamps] past
-   every register id the trace presents.  No replayed id is negative: a
-   simple op with a negative register id raises when trace generation
-   executes it, so no finished trace holds its event.  The use
-   array is flattened to two scalar slots (simple-issue ops read at most
-   two registers); an absent use points at a sentinel stamp slot that is
-   never written, so — with [bundle_id] starting at 1 over zeroed
-   stamps — it can never register a dependence. *)
-let[@inline] issue_simple_pre mt (u0 : int) (u1 : int) (d : int) =
-  let stamps = mt.stamps in
-  let bid = mt.bundle_id in
-  if Array.unsafe_get stamps u0 = bid || Array.unsafe_get stamps u1 = bid then
-    close_bundle mt;
-  mt.bundle <- mt.bundle + 1;
-  Array.unsafe_set stamps d mt.bundle_id;
-  if mt.bundle >= mt.issue_width then close_bundle mt
-
-let[@inline] issue_long mt lat =
-  close_bundle mt;
-  mt.cycles <- mt.cycles + lat
-
 (* config-dependent half of a conditional branch: predictor update,
    misprediction accounting, cost.  The BR_INS/BR_TKN bumps stay with the
    caller — they are config-independent, so the trace engine accumulates
@@ -150,12 +121,10 @@ let[@inline] branch mt site ~taken =
     (if taken then (if v < 3 then v + 1 else 3) else if v > 0 then v - 1 else 0);
   let cost = mt.branch_cost + if mis then mt.mispredict_penalty else 0 in
   if mis then bump mt.bank c_br_msp;
-  issue_long mt cost
+  mt.cycles <- mt.cycles + cost
 
-(* drain the trailing partially-filled bundle and pin TOT_CYC *)
-let finish mt =
-  if mt.bundle > 0 then mt.cycles <- mt.cycles + 1;
-  Counters.set mt.bank Counters.TOT_CYC mt.cycles
+(* pin TOT_CYC *)
+let finish mt = Counters.set mt.bank Counters.TOT_CYC mt.cycles
 
 (* Cache.access_fast with its hit scan copied in-unit (dev builds
    compile with -opaque, so the cross-module call never inlines, and
@@ -214,7 +183,7 @@ let mem_access mt ~write addr =
   let b = mt.bank in
   bump b c_l1_tca;
   let r1 = cache_access mt.l1 ~write addr in
-  if r1 = Cache.hit then issue_long mt mt.l1_lat
+  if r1 = Cache.hit then mt.cycles <- mt.cycles + mt.l1_lat
   else begin
     bump b c_l1_tcm;
     bump b (if write then c_l1_stm else c_l1_ldm);
@@ -235,12 +204,12 @@ let mem_access mt ~write addr =
         bump b c_l2_stm
       end
     end;
-    issue_long mt !lat
+    mt.cycles <- mt.cycles + !lat
   end
 
 (* per-config latency table, indexed by Decode's latency classes: the
-   flat model's [long] hook and the replay fold both price a class
-   through it *)
+   flat model's [long] hook and the replay's class counts both price a
+   class through it *)
 let lat_table (mt : mt) : int array =
   let t =
     [|
@@ -260,50 +229,60 @@ let lat_table (mt : mt) : int array =
 (* ------------------------------------------------------------------ *)
 (* The flat engine's model.
 
-   Simple-issue ops fire no hook.  Every run of them starts in the same
-   issue state, an empty bundle with a fresh id, because it follows an
-   op that closes the bundle (a long op, a memory access, a branch, a
-   jump or return, a call's overhead) or the program start.  So a run's
-   cycles depend only on its instructions and the issue width: [plan]
-   computes them once per [run], and the op that ends the run charges
-   them.  A block's class counters (TOT_INS, INT/FP/MUL/DIV, LD/SR,
-   CALL, BR_INS) are static too: the hooks count each terminator's
-   executions, and [charge_blocks] folds the counts into the bank when
-   the run finishes.
+   Simple-issue ops fire no hook.  Every run of them starts from an
+   empty bundle, because it follows an op that closes the bundle (a
+   long op, a memory access, a branch, a jump or return, a call's
+   overhead) or the program start.  So a run's cycles depend only on
+   its instructions and the issue width: [plan] computes them once per
+   [run], and the op that ends the run charges them.  A block's class
+   counters (TOT_INS, INT/FP/MUL/DIV, LD/SR, CALL, BR_INS) are static
+   too: the hooks count each terminator's executions, and
+   [charge_blocks] folds the counts into the bank when the run
+   finishes.
 
    Both are exact for every run that finishes.  A run that traps or
    runs out of fuel raises out of [run], and its partial cycles and
    counters go with it. *)
 
-(* gpc -> cycles of the run of simple-issue ops that the op at gpc ends:
-   Sim.issue_simple from a fresh bundle, plus the drain of the last
-   partial bundle that the ending op's close_bundle pays.  The current
-   bundle's defined registers are kept as a list, so a register id —
-   negative or past [nregs] — is only ever compared, never an index. *)
+(* Cycles of the [len] simple-issue ops at rows [first ..] of the
+   (uses, dst) columns, issued from an empty bundle: Sim.issue_simple op
+   by op, plus the drain of the last partial bundle, which the op that
+   ends the run pays.  The bundle's defined registers are kept as a
+   list, so a register id — negative or past [nregs] — is only ever
+   compared, never an index. *)
+let run_cycles ~(width : int) ~(uses : int array array) ~(dst : int array)
+    first len =
+  let cycles = ref 0 and bundle = ref 0 and defs = ref [] in
+  let close () =
+    if !bundle > 0 then incr cycles;
+    bundle := 0;
+    defs := []
+  in
+  for i = first to first + len - 1 do
+    if Array.exists (fun (r : int) -> List.exists (( = ) r) !defs) uses.(i)
+    then close ();
+    incr bundle;
+    defs := dst.(i) :: !defs;
+    if !bundle >= width then close ()
+  done;
+  close ();
+  !cycles
+
+(* gpc -> [run_cycles] of the run of simple-issue ops that the op at gpc
+   ends, with each function's code as the columns *)
 let plan (dp : D.t) ~(width : int) : int array =
   let cyc = Array.make (D.code_size dp) 0 in
   Array.iter
     (fun (df : D.dfunc) ->
-      let cycles = ref 0 and bundle = ref 0 and defs = ref [] in
-      let close () =
-        if !bundle > 0 then incr cycles;
-        bundle := 0;
-        defs := []
-      in
+      let uses = Array.map (fun (di : D.dinstr) -> di.D.uses) df.D.code in
+      let dst = Array.map (fun (di : D.dinstr) -> di.D.dst) df.D.code in
+      let first = ref 0 in
       Array.iteri
         (fun pc (di : D.dinstr) ->
-          if D.is_simple di.D.op then begin
-            if Array.exists (fun (r : int) -> List.exists (( = ) r) !defs)
-                 di.D.uses
-            then close ();
-            incr bundle;
-            defs := di.D.dst :: !defs;
-            if !bundle >= width then close ()
-          end
-          else begin
-            close ();
-            cyc.(df.D.base + pc) <- !cycles;
-            cycles := 0
+          if not (D.is_simple di.D.op) then begin
+            cyc.(df.D.base + pc) <-
+              run_cycles ~width ~uses ~dst !first (pc - !first);
+            first := pc + 1
           end)
         df.D.code)
     dp.D.funcs;
@@ -417,58 +396,16 @@ let run ~(config : Config.t) ~(fuel : int) (dp : D.t) : result =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Trace-replay fold loops.
+(* The trace fold: Replay's hot loop, hosted in this compilation unit so
+   that the per-word model calls above are direct and inlinable without
+   flambda.  The word layout is Mtrace's: tag in the low 2 bits (2 mem /
+   3 branch), payload above (mem: addr*2+write; branch: site*2+taken). *)
 
-   These belong to Replay conceptually, but live in this compilation
-   unit so the per-event model calls above are direct and inlinable
-   without flambda — at one call per event per config the call overhead
-   is the replay's whole budget.  The word layout is Mtrace's: tag in
-   the low 2 bits (0 simple / 1 long / 2 mem / 3 branch), payload above
-   (simple: signature id * 256 + run length - 1, a run of consecutive
-   signature ids — Mtrace.run_bits = 8; long: latency-class index into
-   [lat]; mem: addr*2+write; branch: site*2+taken).
-
-   Precondition (Replay's setup establishes it): each mt's [stamps] is
-   sized past the largest register id in [sig_dst]/[sig_u0]/[sig_u1] —
-   including the sentinel slot absent uses point at — so the fold can
-   take the [issue_simple_pre] fast path. *)
-
-let replay_events (mt : mt) ~(events : int array) ~(n : int)
-    ~(sig_u0 : int array) ~(sig_u1 : int array) ~(sig_dst : int array)
-    ~(lat : int array) : unit =
-  for i = 0 to n - 1 do
+let fold_stream (mt : mt) (events : int array) : unit =
+  for i = 0 to Array.length events - 1 do
     let w = Array.unsafe_get events i in
     let payload = w lsr 2 in
     match w land 3 with
-    | 0 ->
-      let last = (payload lsr 8) + (payload land 0xff) in
-      for s = payload lsr 8 to last do
-        issue_simple_pre mt
-          (Array.unsafe_get sig_u0 s)
-          (Array.unsafe_get sig_u1 s)
-          (Array.unsafe_get sig_dst s)
-      done
-    | 1 ->
-      (* a run of same-class long ops: the first close_bundle may drain
-         a partial bundle, the rest only advance the bundle serial *)
-      let n = (payload lsr 3) + 1 in
-      let l = Array.unsafe_get lat (payload land 7) in
-      close_bundle mt;
-      if n > 1 then mt.bundle_id <- mt.bundle_id + (n - 1);
-      mt.cycles <- mt.cycles + (n * l)
     | 2 -> mem_access mt ~write:(payload land 1 = 1) (payload lsr 1)
     | _ -> branch mt (payload lsr 1) ~taken:(payload land 1 = 1)
-  done
-
-(* Grid variant: one sequential fold per config.  An interleaved
-   fan-out (decode each word once, touch every config's state) reads
-   the trace array only once, but measures slower: per event it drags
-   k cache/predictor/stamp working sets through the host caches, while
-   the trace itself streams with perfect prefetch either way.  Keeping
-   one config's model state hot per pass wins on every workload. *)
-let replay_events_grid (mts : mt array) ~(events : int array) ~(n : int)
-    ~(sig_u0 : int array) ~(sig_u1 : int array) ~(sig_dst : int array)
-    ~(lats : int array array) : unit =
-  for j = 0 to Array.length mts - 1 do
-    replay_events mts.(j) ~events ~n ~sig_u0 ~sig_u1 ~sig_dst ~lat:lats.(j)
   done

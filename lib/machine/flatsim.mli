@@ -8,13 +8,18 @@
     ALU ops cost nothing as they execute:
 
     - each run of simple-issue ops is charged its bundle cycles by the
-      op that ends it, from a table built per (program, issue width)
-      when {!run} starts.  Exact because every such run starts from an
-      empty bundle: it follows an op that closes one, or the program
-      start;
+      op that ends it, from a table of {!run_cycles} built per
+      (program, issue width) when {!run} starts.  Exact because every
+      such run starts from an empty bundle: it follows an op that closes
+      one, or the program start;
     - each block's instruction-class counters are charged once per
       execution of its terminator, and folded into the bank when the run
-      finishes.
+      finishes ({!charge_blocks}).
+
+    The trace engine prices a recorded run from the same pieces: its
+    run table through {!run_cycles}, its [base] bank through
+    {!charge_blocks}, and its memory and branch stream through
+    {!fold_stream}.
 
     The model itself is {e identical} to {!Sim}'s: same bundle issue
     rules, same cache hierarchy and predictor state evolution, same
@@ -46,10 +51,11 @@ type result = {
     @raise Mira.Interp.Out_of_fuel when the step budget is exhausted *)
 val run : config:Config.t -> fuel:int -> Mira.Decode.t -> result
 
-(** {2 Machine-model state}
+(** {2 What the trace engine shares}
 
-    Exposed so that {!Replay} folds a recorded event trace through the
-    same cache, predictor and latency code this module's hooks run. *)
+    {!Mtrace} and {!Replay} price a recorded trace with this module's
+    own plan, block counters, cache, predictor and latency code, so the
+    two engines agree structurally. *)
 
 (** timing state; machine parameters pre-extracted from {!Config.t} so
     the hot loop reads flat record fields *)
@@ -59,9 +65,6 @@ type mt = {
   l2 : Cache.t;
   bp : Predictor.t;
   mutable cycles : int;
-  mutable bundle : int;       (** simple ops issued in the current cycle *)
-  mutable bundle_id : int;    (** serial number of the current bundle *)
-  mutable stamps : int array; (** register -> bundle id of its last write *)
   issue_width : int;
   lat_mul : int;
   lat_div : int;
@@ -85,38 +88,25 @@ val mk_mt : Config.t -> mt
     {!Mira.Decode.cls_jump}) *)
 val lat_table : mt -> int array
 
-(** drain the trailing partially-filled bundle and pin TOT_CYC *)
+(** pin TOT_CYC to [cycles] *)
 val finish : mt -> unit
 
-(** {2 Trace-replay fold loops}
+(** [run_cycles ~width ~uses ~dst first len]: the cycles of a run of
+    [len] simple-issue ops, rows [first] to [first + len - 1] of the
+    (registers read, register defined) columns, issued [width] per
+    bundle from an empty bundle, including the drain of its last
+    bundle.  Register ids are only compared.  The flat engine's per-op
+    plan and the trace engine's run table are both priced by it. *)
+val run_cycles :
+  width:int -> uses:int array array -> dst:int array -> int -> int -> int
 
-    {!Replay}'s hot loops, hosted in this compilation unit so the
-    per-event model calls above are direct and inlinable without
-    flambda.  [events.(0 .. n-1)] are {!Mtrace}-packed words; [lat] is
-    the config's {!lat_table}.
-    [sig_u0]/[sig_u1]/[sig_dst] are the trace's flattened signature
-    columns; the caller must pre-size the mt's [stamps] past every
-    register id they hold (see [Mtrace.max_reg]). *)
+(** [charge_blocks dp visits bank] adds every op's instruction-class
+    counters (all the config-independent ones but BR_TKN), times the
+    executions of its block's terminator in [visits] (gpc -> count).
+    Exact for a run that finished. *)
+val charge_blocks : Mira.Decode.t -> int array -> Counters.bank -> unit
 
-val replay_events :
-  mt ->
-  events:int array ->
-  n:int ->
-  sig_u0:int array ->
-  sig_u1:int array ->
-  sig_dst:int array ->
-  lat:int array ->
-  unit
-
-(** one sequential {!replay_events} fold per config ([lats] is
-    per-config) — keeps each config's model state hot for the whole
-    pass, which measures faster than an interleaved fan-out *)
-val replay_events_grid :
-  mt array ->
-  events:int array ->
-  n:int ->
-  sig_u0:int array ->
-  sig_u1:int array ->
-  sig_dst:int array ->
-  lats:int array array ->
-  unit
+(** the cache and predictor fold over an {!Mtrace} stream: each memory
+    word through the L1/L2 hierarchy and each branch word through the
+    predictor, in order, adding their cycles and counters to [mt] *)
+val fold_stream : mt -> int array -> unit

@@ -1,41 +1,47 @@
 module Interp = Mira.Interp
 
-(* Model-many half of the trace-once/model-many split: fold an event
-   stream that Mtrace recorded (Decode.Exec, the loop Flatsim prices
-   live, over a recording model) through the config-dependent machine
-   model.  The fold runs in Flatsim's unit, over Flatsim's own mt
-   state, cache, predictor and latency code, so those agree with the
-   flat engine structurally.  Bundle issue is Sim's per-op rule here
-   (Flatsim.issue_simple_pre) and a per-run table in the flat engine;
-   the three-way differential tests hold the two together.
+(* Model-many half of the trace-once/model-many split: price a trace
+   that Mtrace recorded (Decode.Exec, the loop Flatsim prices live, over
+   a counting model) on one config.  A config's cycles are
 
-   Per event the replay does one array read, a 2-bit tag dispatch and
-   the model call; no operand evaluation, no register files, no fuel or
-   steps bookkeeping, and no config-independent counter bumps (those sit
-   pre-accumulated in the trace's base bank and are merged at the end).
-   That is what makes pricing a grid of configs against one trace cheap:
-   the semantics ran once, at generation time. *)
+     Σ executions × plan cost, over the trace's executed runs of simple
+       ops (Flatsim.run_cycles, the flat engine's own plan);
+   + Σ executions × class latency, over long ops and jumps;
+   + an in-order cache fold over the memory words;
+   + an in-order predictor fold over the branch words.
 
-(* establish the replay-fold precondition: stamps cover every register
-   id the trace's signatures can present, plus the sentinel slot at
-   [max_reg + 1] absent uses point at (Flatsim.issue_simple_pre) *)
-let presize_stamps (tr : Mtrace.t) (mt : Flatsim.mt) =
-  if tr.Mtrace.max_reg + 1 >= Array.length mt.Flatsim.stamps then
-    mt.Flatsim.stamps <- Array.make (tr.Mtrace.max_reg + 2) 0
+   It is exact because every run of simple ops starts from an empty
+   bundle, a long op costs its class latency whatever ran before it, and
+   only the caches and the predictor carry state from one event to the
+   next; neither reads the other, so one fold over the interleaved
+   stream serves both.  The fold runs in Flatsim's unit, over Flatsim's
+   own mt state, cache and predictor code.  The config-independent
+   counters sit pre-derived in the trace's base bank and are merged at
+   the end.  That is what makes pricing a grid of configs against one
+   trace cheap: the semantics ran once, at generation time. *)
 
-(* replay the event stream into one model state; the fold loop itself is
-   hosted in Flatsim's compilation unit so the model calls inline *)
-let fold_events (tr : Mtrace.t) (mt : Flatsim.mt) (lat : int array) : unit =
-  Flatsim.replay_events mt ~events:tr.Mtrace.events ~n:tr.Mtrace.n
-    ~sig_u0:tr.Mtrace.sig_u0 ~sig_u1:tr.Mtrace.sig_u1
-    ~sig_dst:tr.Mtrace.sig_dst ~lat
+(* the cycles that depend on counts alone *)
+let counted_cycles (tr : Mtrace.t) (mt : Flatsim.mt) =
+  let width = mt.Flatsim.issue_width in
+  let uses = tr.Mtrace.sig_uses and dst = tr.Mtrace.sig_dst in
+  let cycles = ref 0 in
+  Array.iteri
+    (fun i first ->
+      cycles :=
+        !cycles
+        + tr.Mtrace.run_count.(i)
+          * Flatsim.run_cycles ~width ~uses ~dst first tr.Mtrace.run_len.(i))
+    tr.Mtrace.run_first;
+  let lat = Flatsim.lat_table mt in
+  Array.iteri
+    (fun cls k -> cycles := !cycles + (k * lat.(cls)))
+    tr.Mtrace.long_count;
+  !cycles
 
-(* the trace's base bank holds exactly the counters the replay never
-   touches, so a plain elementwise add composes the full bank *)
+(* the trace's base bank holds exactly the counters the folds never
+   touch, so a plain elementwise add composes the full bank *)
 let merge_base (base : Counters.bank) (bank : Counters.bank) : unit =
-  for i = 0 to Array.length bank - 1 do
-    Array.unsafe_set bank i (Array.unsafe_get bank i + Array.unsafe_get base i)
-  done
+  Array.iteri (fun i k -> bank.(i) <- bank.(i) + k) base
 
 let reraise_outcome (tr : Mtrace.t) =
   match tr.Mtrace.outcome with
@@ -43,7 +49,10 @@ let reraise_outcome (tr : Mtrace.t) =
   | Mtrace.Exhausted -> raise Interp.Out_of_fuel
   | Mtrace.Finished -> ()
 
-let finish_result (tr : Mtrace.t) (mt : Flatsim.mt) : Flatsim.result =
+let price (tr : Mtrace.t) (config : Config.t) : Flatsim.result =
+  let mt = Flatsim.mk_mt config in
+  mt.Flatsim.cycles <- counted_cycles tr mt;
+  Flatsim.fold_stream mt tr.Mtrace.events;
   Flatsim.finish mt;
   merge_base tr.Mtrace.base mt.Flatsim.bank;
   {
@@ -70,16 +79,14 @@ let run ~(config : Config.t) (tr : Mtrace.t) : Flatsim.result =
         ("events", Obs.Trace.Int tr.Mtrace.n);
         ("cycles", Obs.Trace.Int r.Flatsim.cycles);
       ])
-    (fun () ->
-      let mt = Flatsim.mk_mt config in
-      presize_stamps tr mt;
-      fold_events tr mt (Flatsim.lat_table mt);
-      finish_result tr mt)
+    (fun () -> price tr config)
 
-(* Price every config on the grid against the one trace: the semantics
-   ran once, at generation time, and each config costs one sequential
-   model fold over the event stream (see Flatsim.replay_events_grid for
-   why sequential-per-config beats an interleaved fan-out). *)
+(* Price every config on the grid against the one trace, one sequential
+   fold per config.  An interleaved fan-out (decode each word once,
+   touch every config's state) would read the stream only once, but it
+   drags k cache and predictor working sets through the host caches per
+   word, while the stream itself reads with perfect prefetch either way;
+   keeping one config's model state hot per pass measured faster. *)
 let run_grid ~(configs : Config.t array) (tr : Mtrace.t) :
     Flatsim.result array =
   reraise_outcome tr;
@@ -90,11 +97,4 @@ let run_grid ~(configs : Config.t array) (tr : Mtrace.t) :
         ("configs", Obs.Trace.Int (Array.length configs));
         ("events", Obs.Trace.Int tr.Mtrace.n);
       ])
-    (fun () ->
-      let mts = Array.map Flatsim.mk_mt configs in
-      Array.iter (presize_stamps tr) mts;
-      let lats = Array.map Flatsim.lat_table mts in
-      Flatsim.replay_events_grid mts ~events:tr.Mtrace.events ~n:tr.Mtrace.n
-        ~sig_u0:tr.Mtrace.sig_u0 ~sig_u1:tr.Mtrace.sig_u1
-        ~sig_dst:tr.Mtrace.sig_dst ~lats;
-      Array.map (finish_result tr) mts)
+    (fun () -> Array.map (price tr) configs)

@@ -1,14 +1,17 @@
 (** Model replay: the "model many" half of trace-once/model-many.
 
-    Folds a recorded event stream ({!Mtrace.t}) through the
-    config-dependent machine model — bundle issue, L1/L2 hierarchy,
-    bimodal predictor, latencies — reproducing {!Flatsim.run}'s cycles
-    and full counter bank bit-identically for any config, without
-    re-executing the program.  The fold runs {!Flatsim}'s own cache,
-    predictor and latency code over its {!Flatsim.mt} state, so those
-    agree structurally; bundle issue is replayed per simple op, where
-    the flat engine charges a per-run table, and the three-way
-    differential tests hold the two together.
+    Prices a recorded trace ({!Mtrace.t}) on a config without
+    re-executing the program, reproducing {!Flatsim.run}'s cycles and
+    full counter bank bit-identically.  A config's cycles are the
+    executions of each recorded run of simple ops times its
+    {!Flatsim.run_cycles}, plus each latency class's executions times
+    its latency, plus an in-order cache fold over the memory words and
+    an in-order predictor fold over the branch words
+    ({!Flatsim.fold_stream}).  Exact because every run of simple ops
+    starts from an empty bundle, a long op costs its class latency
+    whatever ran before it, and only the caches and the predictor carry
+    state from one event to the next.  The three-way differential tests
+    hold this engine and the flat one together.
 
     A non-[Finished] trace re-raises the engine exception the flat
     simulator would have raised ({!Mira.Interp.Trap} /
@@ -20,10 +23,10 @@
 val run : config:Config.t -> Mtrace.t -> Flatsim.result
 
 (** Replay a whole architecture grid against one trace: the semantic
-    execution is paid once, each config then costs one model fold over
-    the recorded stream (sequential per config — the trace streams with
-    perfect prefetch, while interleaving k model working sets measures
-    slower).  [run_grid ~configs:[|c|] tr] is exactly
+    execution is paid once, each config then costs its count pricing
+    and one fold over the recorded stream (sequential per config — the
+    stream reads with perfect prefetch, while interleaving k model
+    working sets measures slower).  [run_grid ~configs:[|c|] tr] is exactly
     [[| run ~config:c tr |]], and the results are independent of the
     order of [configs] (model states never interact).
     @raise Mira.Interp.Trap when the traced run trapped

@@ -54,11 +54,11 @@ let diff_plain ?fuel (p : Mira.Ir.program) : string list =
    interpreter as the semantics-and-model oracle.  Flat (the production
    engine: Decode.Exec with Flatsim's model) and Trace (Decode.Exec with
    Mtrace's model, then Replay) are each compared field-by-field against
-   Ref.  Both run the same dispatch loop, so a trace-only disagreement
-   means the event recording, the stop rule for a trapped or exhausted
-   run, or the replay accounting drifted from the flat engine's; a
-   both-engines disagreement points at the shared loop, decode or model
-   code.
+   Ref.  Both run the same dispatch loop and share the plan, block
+   counters, cache and predictor code, so a trace-only disagreement
+   means the counting model, the recorded streams or the count pricing
+   drifted from the flat engine's; a both-engines disagreement points
+   at the shared loop, decode or model code.
    Messages carry the config name and the disagreeing engine, e.g.
    "cycles[c6713_like]: ref=412 trace=409". *)
 
@@ -113,7 +113,9 @@ let diff_sim ?(config = Mach.Config.default) ?fuel (p : Mira.Ir.program) :
      the store's framing/checksums, which its own tests cover) and
      replay the decoded trace — a disagreement here means the codec
      dropped or distorted something the round-trip equality below
-     missed, or vice versa. *)
+     missed, or vice versa.  A trapped or exhausted trace keeps only
+     its outcome, output and steps, and its replay re-raises, so for
+     those this leg compares the outcome alone. *)
   let store_leg () =
     let tr = Mach.Mtrace.generate_program ?fuel p in
     match Mach.Mtrace.decode (Mach.Mtrace.encode tr) with

@@ -4,7 +4,7 @@
    - a journal scrub is atomic under the compact-crash fault point;
    - one crash-consistency table of damage cases run over every store
      (Journal joins the cases that apply to an unlocked, absorb-free log);
-   - a format pin: results.log v3, store.log v1 and journal v2 bytes
+   - a format pin: results.log v3, store.log v2 and journal v2 bytes
      spelled out here open clean, and are what the stores write. *)
 
 module Rcache = Engine.Rcache
@@ -58,9 +58,9 @@ let sum8 payload = String.sub (md5 payload) 0 8
 (* a sealed line: results.log v3 entries and journal v2 chunks *)
 let line payload = sum8 payload ^ "|" ^ payload ^ "\n"
 
-(* a store.log v1 blob *)
+(* a store.log v2 blob: its checksum covers the key and the payload *)
 let blob key payload =
-  Printf.sprintf "\nTSE1|%s|%s|%d\n%s\n" (sum8 payload) key
+  Printf.sprintf "\nTSE1|%s|%s|%d\n%s\n" (sum8 (key ^ payload)) key
     (String.length payload) payload
 
 (* Every store holds entries (id, variant), whose value is [v id variant]:
@@ -175,7 +175,7 @@ let tstore =
   {
     name = "tstore";
     log = (fun dir -> Filename.concat dir "store.log");
-    magic = "mira-tstore 1";
+    magic = "mira-tstore 2";
     bytes =
       (fun (id, var) ->
         blob

@@ -46,7 +46,7 @@ let test_generate_deterministic () =
       let a = Mtrace.generate ~fuel dp and b = Mtrace.generate ~fuel dp in
       Alcotest.(check (array int))
         (w.Workloads.name ^ ": packed words")
-        (Mtrace.words a) (Mtrace.words b);
+        a.Mtrace.events b.Mtrace.events;
       Alcotest.(check bool)
         (w.Workloads.name ^ ": metadata")
         true
@@ -166,8 +166,8 @@ let test_fuel_prefix () =
 
 (* The tests above compare engines with each other; these compare trace
    contents with fixed values, so that a change to how traces are
-   generated cannot move a trace's bytes, a trapped trace's prefix or
-   the event buffer's capacity (Tcache charges the capacity) unnoticed.
+   generated cannot move a trace's bytes, its stream length (Tcache
+   charges it) or a stopped trace's outcome, output and steps unnoticed.
    A mismatch prints both sides; an intentional format change updates
    the tables from that output. *)
 
@@ -193,63 +193,63 @@ let check_pins what (expected : (string * string) list)
       (List.length bad) (List.length actual) (List.length expected)
       (String.concat "\n" bad)
 
-(* MD5 of the encoding and the event capacity of each suite variant *)
+(* MD5 of the encoding and the stream length of each suite variant *)
 let suite_pins =
   [
-    ("adpcm/O0", "8614368bd0350eaee8ff7d5dd5e95bc2/524288");
-    ("adpcm/O2", "60b95d104b18f654f47c1858dabb740a/524288");
-    ("adpcm/Ofast", "dd62c568c58e550ee9b614810903fced/524288");
-    ("mcf_spars/O0", "d80a520a8dba4c6a92e9f92bf39ec485/2097152");
-    ("mcf_spars/O2", "88d626bc7fa28ef32d8d4d0c347e5f04/2097152");
-    ("mcf_spars/Ofast", "05b792290183185524b45044fabdd2bd/1048576");
-    ("matmul/O0", "daee8873ef0ab892059342c52fbad60f/2097152");
-    ("matmul/O2", "89d1ce1e8f6ca0b87908bcca27adc8e3/2097152");
-    ("matmul/Ofast", "01056dad6b77fd19335173925cf90acb/1048576");
-    ("fir/O0", "365a26091dc0ddec9cf64742d62bba39/2097152");
-    ("fir/O2", "e2d0e157a25a9c0e4db0731134dd5ace/2097152");
-    ("fir/Ofast", "7ad621e7c8912696a452306a1a84033b/1048576");
-    ("crc32/O0", "e013295bfce2e4b17f7809679480a991/262144");
-    ("crc32/O2", "b96bacc450e9e64b3099a779b28573d5/262144");
-    ("crc32/Ofast", "bea1441269467cd0f34595ffbfaf603a/262144");
-    ("bitcount/O0", "adbec5c7954fe19e853e92a617fdab73/2097152");
-    ("bitcount/O2", "b81f1f4c6d76747cbe4c3a7a141c48ee/2097152");
-    ("bitcount/Ofast", "d40a9d18538e63c2ee76ad04c896d43c/2097152");
-    ("dijkstra/O0", "b10a4a9b6aad643a94e3ad4763d666d9/2097152");
-    ("dijkstra/O2", "d6d64a9048aa3d07cb451ad1e3204084/2097152");
-    ("dijkstra/Ofast", "fb731fc27c73bfaed2754726f2952242/1048576");
-    ("qsort/O0", "97b2383c55eefc00af541d92d97ffe92/524288");
-    ("qsort/O2", "482dc049f4ad4dc89b460486af40f136/524288");
-    ("qsort/Ofast", "9f66105b12a0a9831b9a6d60517b5265/524288");
-    ("histogram/O0", "9e77173f44f11f8e666fca9a39ca6b51/524288");
-    ("histogram/O2", "af47e0432e7fea6d7c25a63ab4f10e3a/524288");
-    ("histogram/Ofast", "b08cef6f567b0ae9511491bd69eb2b50/524288");
-    ("nbody/O0", "4d24dfce99d09a55d8f01c54fd0ee450/1048576");
-    ("nbody/O2", "47a5b72ca6b7c0fbad112720fdf0555c/1048576");
-    ("nbody/Ofast", "1a5cc91582a97cde156b74c8cf604f78/1048576");
-    ("stencil2d/O0", "8543fcd70f415a4f6351c7e00d2c2e05/2097152");
-    ("stencil2d/O2", "e5f378e503c88c2db1f3278545707de8/2097152");
-    ("stencil2d/Ofast", "d822501ff6b82bc46077acc929752a64/1048576");
-    ("susan/O0", "7e04ca009110196f8f0123cb5bec2f66/2097152");
-    ("susan/O2", "9aebd2227868d2cd8f452f8069f9567e/1048576");
-    ("susan/Ofast", "a9135b4bbbd6b63fec1044c85dd86490/1048576");
-    ("sha_mix/O0", "a00903480bcda1f97686faa8397d6c6b/524288");
-    ("sha_mix/O2", "8a0114a867f4d25b593d59766eda1d61/524288");
-    ("sha_mix/Ofast", "fdbf0376e272d959b5188db9672f05d9/65536");
-    ("strsearch/O0", "44ddc09c41e05615a9e53114b5c380e5/524288");
-    ("strsearch/O2", "dded74bf74360a509e098ffffc3e5e09/524288");
-    ("strsearch/Ofast", "c4f27b4c381b2b19a4f17b937053e181/524288");
-    ("jacobi/O0", "1d0d6d0d658ea7845d49c17ef3738a32/2097152");
-    ("jacobi/O2", "9d284b657c7b5a13b3644305d9136ead/2097152");
-    ("jacobi/Ofast", "9e1f96b452e9fb21e1ce6a4642dad0ee/2097152");
-    ("lud/O0", "c96135d7f59119e9beb3e180975ea45d/2097152");
-    ("lud/O2", "4bf15872a028d81710b66e6cf96d5fd5/1048576");
-    ("lud/Ofast", "2bdcba8f290390671038aab80244fd3b/1048576");
-    ("blowfish/O0", "1815cf3c116bf1b19bff8f9fd99d1d30/1048576");
-    ("blowfish/O2", "32788aebb61459329f0f941b253f155b/1048576");
-    ("blowfish/Ofast", "600fd03a162a01e108239bc068bea4e7/524288");
-    ("spmv/O0", "7c7cea03468388ab68a96104963837db/2097152");
-    ("spmv/O2", "a0bb0091f1dc7fe7932dbba174cf5e35/2097152");
-    ("spmv/Ofast", "20298b34c5fcc9834816cea2548239ea/2097152");
+    ("adpcm/O0", "95aff52cae180deee04f40d6b9b12eba/122882");
+    ("adpcm/O2", "b58cf2e0fd87b8c4cb171c73cf207020/122882");
+    ("adpcm/Ofast", "0ac122e76d714b77218f8f2d470a06a6/110596");
+    ("mcf_spars/O0", "8a8282c150d0dd3679c6143795660422/547074");
+    ("mcf_spars/O2", "62bdecb71dd6cda31d6ecbfa7ced6a78/547074");
+    ("mcf_spars/Ofast", "882cb7b6c967ab438e68bb85aef5c507/483500");
+    ("matmul/O0", "42f1c3485325414efd63dc5d07fe2111/345747");
+    ("matmul/O2", "ceb24d6369d91e8fbc099b6225ee1f15/345747");
+    ("matmul/Ofast", "3838f2a2e33149a3168b1c8d94f7798a/263363");
+    ("fir/O0", "e07c96df31afc803989e520cf18794d7/410862");
+    ("fir/O2", "e0d4fad42617e62b2c7a0cb1223aa1f2/410862");
+    ("fir/Ofast", "bc6f370b6418607b18e2765907a72b5b/314198");
+    ("crc32/O0", "cc73a4e610713e28331c26120229abeb/64514");
+    ("crc32/O2", "1ff7048f2fa1bc8d0cb67e57a0973aa4/64514");
+    ("crc32/Ofast", "f32884b2cee2fee8cbb672fbde70f09e/46851");
+    ("bitcount/O0", "a6cd9a6912a9c940b88a7ddd4b1e2ac5/282045");
+    ("bitcount/O2", "48228aaf2a0d0a572cc9b54c25cca945/282045");
+    ("bitcount/Ofast", "e298593e4f5ab75bd7e7824ae4303e11/282045");
+    ("dijkstra/O0", "a21c803d677fd778e03731930f992fae/464304");
+    ("dijkstra/O2", "c14ec403444cc120d488998431ba1fc3/464304");
+    ("dijkstra/Ofast", "3896f59d97f82be723b314aa61890286/388523");
+    ("qsort/O0", "5b2c6ca7247173e97db9424240957dab/175714");
+    ("qsort/O2", "fcf954b7a5bd9c1b9028aac1a4b3edd9/175714");
+    ("qsort/Ofast", "cdfecef48ae43402785d6eb9043df06e/171219");
+    ("histogram/O0", "6ca72e836a3e3c06295fd65675465478/145283");
+    ("histogram/O2", "27644f73ed928fdf0b64282e1c9b5b56/145283");
+    ("histogram/Ofast", "6b1d761a1b6ad3963a5d03e380d91e1d/108902");
+    ("nbody/O0", "a261d69ad38f5a13ca0e57e3d381031b/282675");
+    ("nbody/O2", "cc9290dc3dd701b7fceba918e5b43c5a/282675");
+    ("nbody/Ofast", "0576020a2bb33366adbbd15c46972162/261605");
+    ("stencil2d/O0", "1125bb345f00c1ac60f9447e69e539e7/462338");
+    ("stencil2d/O2", "ab24c0dc9287050e47a5a216ee40ad09/462338");
+    ("stencil2d/Ofast", "3d9013e15a9c89d4a8b5512ca00c35c5/391430");
+    ("susan/O0", "e2e753f0c2cfcdf0d44a901bef9fdefa/298906");
+    ("susan/O2", "d23565d963b41e7be1c7303dc74d3154/298906");
+    ("susan/Ofast", "052159a60fba70499eba440fa5dbcce9/312359");
+    ("sha_mix/O0", "6b0e6cfce08d3020ca6deeccf8b3fe36/42066");
+    ("sha_mix/O2", "00499c5323e290d091be48d8a063316a/42066");
+    ("sha_mix/Ofast", "6e117a788f68332a16d8cbc94550ed2e/26363");
+    ("strsearch/O0", "0432d2d299093c699c130d717b4f958d/151365");
+    ("strsearch/O2", "7b937cd8815999a26235e61e3a8839ea/151365");
+    ("strsearch/Ofast", "bcda3757c0197f478a52f6437da30e2d/145118");
+    ("jacobi/O0", "805dc310018cd6082e856ca39d2b6678/431950");
+    ("jacobi/O2", "ff41343940d4a04e9757ad79c7f63b8e/431950");
+    ("jacobi/Ofast", "192e6aa1ab8bb7a24baf12ac9df4dba9/352520");
+    ("lud/O0", "b42e9de66aa0d8f85f276e2f625097e2/302347");
+    ("lud/O2", "5712846e79c56cd3af27c741ac966e83/302347");
+    ("lud/Ofast", "3b416b802ebcd5d7aeaacb9624ed5296/260600");
+    ("blowfish/O0", "0bb4eece571d9e8cd235f90d3e8b06ea/247282");
+    ("blowfish/O2", "f96aecbca05a8f9dff06a23ae8427ef9/247282");
+    ("blowfish/Ofast", "445fcb8588c65957dcad42584dd79760/214091");
+    ("spmv/O0", "c754d3e207395f5aae9e693ca49564e4/847884");
+    ("spmv/O2", "515cbdab68605a5e1c7a4eb2bf1932e6/847884");
+    ("spmv/Ofast", "2d92fc039b4b8210caccfa3003a69102/688655");
   ]
 
 let test_suite_trace_bytes () =
@@ -263,13 +263,14 @@ let test_suite_trace_bytes () =
              ( w.Workloads.name ^ "/" ^ level,
                Printf.sprintf "%s/%d"
                  (Digest.to_hex (Digest.string (Mtrace.encode tr)))
-                 (Array.length tr.Mtrace.events) ))
+                 tr.Mtrace.n ))
            levels)
        Workloads.all)
 
 (* Trapping programs, each traced at every fuel from 1 to one past its
    trapped run's steps, so every stop point inside every run of simple
-   ops is covered, at each level. *)
+   ops is covered, at each level.  A stopped trace keeps only its
+   outcome, output and steps. *)
 let trap_programs =
   [
     ( "division",
@@ -310,7 +311,7 @@ let trap_programs =
           for i = 0 to 70 { s = (s + (g(i) << i)) & 65535; }
           return s;
         }|} );
-    (* a static run of simple ops longer than a simple word holds *)
+    (* a trap after a static run of more than 256 simple ops *)
     ( "long run",
       Printf.sprintf
         {|fn main() -> int {
@@ -324,12 +325,12 @@ let trap_programs =
 
 let trap_pins =
   [
-    ("division", "13d5930c4c52c0a8fca2697ae89632ac");
-    ("load bounds", "0f4b257efbd90ed3ff02a899772dfe7e");
-    ("store bounds", "515c71678a177035457355abe88d97b3");
-    ("callee entry", "9446c209f94f02fd1058ad6d9df9d3e0");
-    ("after return", "3823ad570857b67245800573d3fab5e1");
-    ("long run", "f4f365b48acdbb087c4b9624ca1a06f6");
+    ("division", "14c0d0d970a8a96d4d4c7460e190bcb1");
+    ("load bounds", "364e38619220662ac0e59312eca24757");
+    ("store bounds", "fdf7f5152225812651b4671a6ff8721f");
+    ("callee entry", "67505ccdb669dde4dd5d5188406076c1");
+    ("after return", "4c80dad6f0a7a98a2b40ca96f13ae77a");
+    ("long run", "e49293f03239e05b0f61744044e95275");
   ]
 
 let test_trap_trace_bytes () =
@@ -354,6 +355,78 @@ let test_trap_trace_bytes () =
            levels;
          (name, Digest.to_hex (Digest.string (Buffer.contents b))))
        trap_programs)
+
+(* --- finished programs the old word layout split --------------------- *)
+
+(* Stopped traces keep no stream, so the trapping programs above no
+   longer cover a finished run's pricing.  These two finished programs
+   cover what a word layout once had to split or coalesce: a static run
+   of more than 256 simple ops, and a run of same-class long ops (nested
+   returns, each a jump) that ends the program. *)
+
+let long_simple_run =
+  Printf.sprintf
+    {|fn main() -> int {
+        var s: int = 1;
+        for i = 0 to 3 { %s }
+        return s;
+      }|}
+    (String.concat " "
+       (List.init 150 (fun k -> Printf.sprintf "s = (s ^ i) + %d;" k)))
+
+let long_op_run =
+  {|fn h(x: int) -> int { return x * 7; }
+    fn g(x: int) -> int { return h(x * 5); }
+    fn f(x: int) -> int { return g(x * 3); }
+    fn main() -> int {
+      var s: int = 1;
+      for i = 0 to 4 { s = s * 3 * 5 * 7; }
+      return f(s);
+    }|}
+
+(* encode -> decode -> Replay.run_grid, against Flatsim.run and the
+   reference engine on every preset and at issue widths 2, 4 and 16 *)
+let check_finished name src =
+  let p = compile src in
+  let dp = Mira.Decode.decode p in
+  let tr =
+    match Mtrace.decode (Mtrace.encode (Mtrace.generate ~fuel dp)) with
+    | Ok tr -> tr
+    | Error m -> Alcotest.failf "%s: decode failed: %s" name m
+  in
+  let configs =
+    Config.all
+    @ List.concat_map
+        (fun (c : Config.t) ->
+          List.map
+            (fun w ->
+              { c with
+                Config.issue_width = w;
+                name = Printf.sprintf "%s/w%d" c.Config.name w })
+            [ 2; 4; 16 ])
+        Config.all
+  in
+  let grid = Replay.run_grid ~configs:(Array.of_list configs) tr in
+  List.iteri
+    (fun i (config : Config.t) ->
+      let what = Printf.sprintf "%s on %s" name config.Config.name in
+      check_same (what ^ ": trace vs flat") grid.(i)
+        (Flatsim.run ~config ~fuel dp);
+      check_same (what ^ ": trace vs reference") grid.(i)
+        (Mach.Sim.run ~engine:Mach.Sim.Ref ~config ~fuel p))
+    configs;
+  tr
+
+let test_finished_long_simple_run () =
+  let tr = check_finished "long simple run" long_simple_run in
+  Alcotest.(check bool) "a run of more than 256 simple ops" true
+    (Array.exists (fun l -> l > 256) tr.Mtrace.run_len)
+
+let test_finished_long_op_run () =
+  let tr = check_finished "long op run" long_op_run in
+  Alcotest.(check bool) "multiplications and returns counted" true
+    (tr.Mtrace.long_count.(Mira.Decode.cls_mul) >= 15
+    && tr.Mtrace.long_count.(Mira.Decode.cls_jump) >= 4)
 
 (* --- Config.digest covers every field -------------------------------- *)
 
@@ -557,6 +630,10 @@ let suite =
         slow "suite trace bytes are pinned" test_suite_trace_bytes;
         t "trapped trace bytes are pinned at every fuel"
           test_trap_trace_bytes;
+        t "finished run longer than one old word"
+          test_finished_long_simple_run;
+        t "finished program ending on same-class long ops"
+          test_finished_long_op_run;
       ] );
     ( "trace-cache",
       [

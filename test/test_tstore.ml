@@ -53,11 +53,16 @@ let same (a : Flatsim.result) (b : Flatsim.result) =
 (* ------------------------------------------------------------------ *)
 (* the codec *)
 
+let contains s sub =
+  let n = String.length s and k = String.length sub in
+  let rec at i = i + k <= n && (String.sub s i k = sub || at (i + 1)) in
+  at 0
+
 (* Round-trip over the whole workload suite plus a trapping and an
    exhausted trace: decode (encode tr) is bit-exact, a replay of the
    decoded trace is bit-identical to a replay of the original on every
-   preset config, and the encoding stays compact (< 4 bytes per trace
-   word — the acceptance bound; the observed average is under 2). *)
+   preset config, and the encoding stays compact (< 4 bytes per stream
+   word — the acceptance bound; the suite averages about 2.2). *)
 let test_codec_round_trip () =
   let check_one name (tr : Mtrace.t) =
     let s = Mtrace.encode tr in
@@ -132,18 +137,72 @@ let test_codec_rejects_garbage () =
     go v;
     Buffer.contents b
   in
+  (* a finished trace's head: outcome, output "", steps 0, ret VUndef *)
+  let finished = version ^ "\x00\x00\x00\x00" in
+  let negative = String.make 8 '\xff' ^ "\x7f" in
+  let rejects (name, payload) =
+    match Mtrace.decode payload with
+    | r -> Alcotest.(check bool) name true (Result.is_error r)
+    | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e)
+  in
+  List.iter rejects
+    [
+      ("event count 2^40", finished ^ varint (1 lsl 40));
+      ("negative nine-byte varint", version ^ "\x00\x00" ^ negative);
+      ("signature count 2^40", finished ^ "\x00" ^ varint (1 lsl 40));
+      ( "trap message length near max_int",
+        version ^ "\x01" ^ varint (max_int - 3) );
+    ];
+  (* Whole payloads, as a checksum-valid store entry would hold them,
+     each breaking one bound on an index the pricing reads.  The control
+     differs from each only in the field the rule names, and decodes. *)
+  let payload ?(words = "\x01\x02") ?(runs = "\x01\x00\x01\x01")
+      ?(classes = varint 1 ^ varint Mira.Decode.cls_jump ^ "\x01")
+      ?(bank = Mach.Counters.count) () =
+    (* one memory word at address 0, one signature (dst 0, no uses),
+       one run of it, one jump, and the bank *)
+    finished ^ words ^ "\x01\x00\x00" ^ runs ^ classes ^ varint bank
+    ^ String.make bank '\x00'
+  in
+  (match Mtrace.decode (payload ()) with
+  | Ok tr ->
+    List.iter
+      (fun config -> ignore (Replay.run ~config tr))
+      Config.all
+  | Error m -> Alcotest.failf "control payload: %s" m);
+  (* the error must name the broken rule, not some later symptom *)
   List.iter
-    (fun (name, payload) ->
+    (fun (name, payload, rule) ->
       match Mtrace.decode payload with
-      | r -> Alcotest.(check bool) name true (Result.is_error r)
+      | Ok _ -> Alcotest.failf "%s: decoded" name
+      | Error m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %S" name m rule)
+          true
+          (contains m rule)
       | exception e ->
         Alcotest.failf "%s: raised %s" name (Printexc.to_string e))
     [
-      ("event count 2^40", version ^ varint (1 lsl 40));
-      ("negative nine-byte varint", version ^ String.make 8 '\xff' ^ "\x7f");
-      ("signature count 2^40", version ^ "\x00" ^ varint (1 lsl 40));
-      ( "trap message length near max_int",
-        version ^ "\x00\x00\x00\x00\x01" ^ varint (max_int - 3) );
+      ( "run past the signature table",
+        payload ~runs:"\x01\x00\x02\x01" (),
+        "leaves the 1 signatures" );
+      ( "run starting past the table",
+        payload ~runs:"\x01\x02\x00\x01" (),
+        "leaves the 1 signatures" );
+      ( "latency class cls_count",
+        payload ~classes:(varint 1 ^ varint Mira.Decode.cls_count ^ "\x01") (),
+        "latency class" );
+      ( "negative run count",
+        payload ~runs:("\x01\x00\x01" ^ negative) (),
+        "negative varint" );
+      ( "negative class count",
+        payload ~classes:(varint 1 ^ varint 0 ^ negative) (),
+        "negative varint" );
+      ("stream tag 0", payload ~words:"\x01\x00" (), "stream tag 0");
+      ("stream tag 1", payload ~words:"\x01\x01" (), "stream tag 1");
+      ( "short counter bank",
+        payload ~bank:(Mach.Counters.count - 1) (),
+        "counters" );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -211,6 +270,148 @@ let test_full_length_key_misses () =
           true
           (same (Replay.run ~config stored) (Replay.run ~config tr)))
       Config.all
+
+(* ------------------------------------------------------------------ *)
+(* store format 2 *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let legacy_program =
+  {|global g: int[8] = {3, 1, 4, 1, 5, 9, 2, 6};
+fn f(x: int) -> int { return x * 3; }
+fn main() -> int {
+  var s: int = 0;
+  for i = 0 to 8 { s = s + f(g[i]); }
+  return s;
+}|}
+
+(* A format-1 store.log, as the format-1 build wrote it: [legacy_program]
+   traced at the default fuel and at fuel 1000, under header
+   "mira-tstore 1", payload-only checksums and codec version 1. *)
+let legacy_log =
+  let hex =
+    String.concat ""
+      [
+        "6d6972612d7473746f726520310a0a545345317c31666134613066307c633362";
+        "34663365646238626265323864643832316162623538323632323630627c3135";
+        "300a01451839e83f0b8280400d25399010018c100382010d25399010018c1003";
+        "82010d25399010018c100382010d25399010018c100382010d25399010018c10";
+        "0382010d25399010018c100382010d25399010018c100382010d25399010018c";
+        "100701080008080208080408080608080801020e000600070802010307143d00";
+        "0800090800002d08000800000000000000000001ba0100580a0a545345317c31";
+        "666134613066307c386539636530636535373861616631633162386461333266";
+        "31346532656464627c3135300a01451839e83f0b8280400d25399010018c1003";
+        "82010d25399010018c100382010d25399010018c100382010d25399010018c10";
+        "0382010d25399010018c100382010d25399010018c100382010d25399010018c";
+        "100382010d25399010018c100701080008080208080408080608080801020e00";
+        "0600070802010307143d000800090800002d08000800000000000000000001ba";
+        "0100580a";
+      ]
+  in
+  String.init (String.length hex / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub hex (2 * i) 2)))
+
+(* A format-1 log opens with every entry quarantined and is rewritten in
+   format 2; its program prices as the flat engine does after one
+   regeneration, and the next open is clean. *)
+let test_format1_log_upgrades () =
+  let dir = tmp_dir "tstore-format1" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Sys.mkdir dir 0o755;
+  let log = Filename.concat dir "store.log" in
+  write_file log legacy_log;
+  let p = compile legacy_program in
+  let ir_digest = Engine.Pctrie.digest p in
+  (* the log files the first entry under this program's key *)
+  Alcotest.(check bool) "the log holds this program's key" true
+    (contains legacy_log
+       (Digest.to_hex (Digest.string (ir_digest ^ "\x00" ^ string_of_int fuel))));
+  let ts = Tstore.open_dir dir in
+  Alcotest.(check int) "every entry quarantined" 2 (Tstore.quarantined ts);
+  Alcotest.(check int) "no entry kept" 0 (Tstore.entries ts);
+  Alcotest.(check string) "rewritten in format 2" "mira-tstore 2\n"
+    (read_file log);
+  let gens = ref 0 in
+  let tr =
+    Tcache.find_or_generate (Tcache.create ~store:ts ()) ~ir_digest ~fuel
+      (fun () ->
+        incr gens;
+        Mtrace.generate_program ~fuel p)
+  in
+  Alcotest.(check int) "one regeneration" 1 !gens;
+  let configs = Array.of_list Config.all in
+  Array.iteri
+    (fun i (r : Mach.Sim.result) ->
+      Alcotest.(check bool)
+        (configs.(i).Config.name ^ ": priced as the flat engine")
+        true
+        (same r
+           (Mach.Sim.run ~engine:Mach.Sim.Flat ~config:configs.(i) ~fuel p)))
+    (Engine.Grid.replay_grid ~configs tr);
+  Tstore.close ts;
+  let ts = Tstore.open_dir dir in
+  Fun.protect ~finally:(fun () -> Tstore.close ts) @@ fun () ->
+  Alcotest.(check int) "the next open is clean" 0 (Tstore.quarantined ts);
+  match Tstore.find ts ~ir_digest ~fuel with
+  | Some tr' -> Alcotest.(check bool) "stored in format 2" true (Mtrace.equal tr tr')
+  | None -> Alcotest.fail "the regenerated trace was not stored"
+
+(* A blob's checksum covers its key: damage to any byte of a marker's
+   key quarantines that entry, where a payload-only checksum would have
+   filed it under another key. *)
+let test_key_damage_quarantines () =
+  let dir = tmp_dir "tstore-key" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let trace v =
+    Mtrace.generate_program ~fuel
+      (compile (Printf.sprintf {|fn main() -> int { return %d; }|} v))
+  in
+  let a = trace 1 and b = trace 2 in
+  let ts = Tstore.open_dir dir in
+  Tstore.add ts ~ir_digest:"a" ~fuel a;
+  Tstore.add ts ~ir_digest:"b" ~fuel b;
+  Tstore.close ts;
+  let log = Filename.concat dir "store.log" in
+  let clean = read_file log in
+  (* the first marker is "TSE1|<sum8>|<key32>|..." *)
+  let key_at =
+    let rec find i = if String.sub clean i 5 = "TSE1|" then i + 14 else find (i + 1) in
+    find 0
+  in
+  let damaged = ref 0 in
+  for i = key_at to key_at + 31 do
+    let c = clean.[i] in
+    (* a bit flip, and a change to another hex digit, which keeps the
+       marker well-formed *)
+    List.iter
+      (fun c' ->
+        let bytes = Bytes.of_string clean in
+        Bytes.set bytes i c';
+        write_file log (Bytes.to_string bytes);
+        let ts = Tstore.open_dir dir in
+        Fun.protect ~finally:(fun () -> Tstore.close ts) @@ fun () ->
+        incr damaged;
+        let what = Printf.sprintf "key byte %d -> %C" (i - key_at) c' in
+        Alcotest.(check int) (what ^ ": quarantined") 1 (Tstore.quarantined ts);
+        Alcotest.(check int) (what ^ ": one entry left") 1 (Tstore.entries ts);
+        Alcotest.(check bool) (what ^ ": its entry misses") true
+          (Tstore.find ts ~ir_digest:"a" ~fuel = None);
+        Alcotest.(check bool) (what ^ ": the other entry reads back") true
+          (match Tstore.find ts ~ir_digest:"b" ~fuel with
+          | Some tr -> Mtrace.equal tr b
+          | None -> false))
+      [ Char.chr (Char.code c lxor 1); (if c = '0' then '1' else '0') ]
+  done;
+  Alcotest.(check int) "every key byte damaged twice" 64 !damaged
 
 (* ------------------------------------------------------------------ *)
 (* torn writes: quarantine, never a crash, and self-healing *)
@@ -454,6 +655,8 @@ let suite =
       [
         t "add / close / reopen / find round-trip" test_store_round_trip;
         t "full-length key misses cleanly" test_full_length_key_misses;
+        t "format-1 log is quarantined and upgraded" test_format1_log_upgrades;
+        t "damage to a blob's key quarantines it" test_key_damage_quarantines;
         t "torn write: quarantined and self-healed" test_torn_write_quarantine;
         t "absorb merges worker stores" test_absorb;
         t "Tcache writes through and reads back" test_tcache_write_through;
