@@ -64,13 +64,6 @@ let () =
     | "--tstore" :: dir :: rest ->
       Util.tstore := Some dir;
       strip_opts rest
-    | "--engine" :: e :: rest ->
-      (match Mach.Sim.engine_of_string e with
-       | Some eng -> Mach.Sim.default_engine := eng
-       | None ->
-         Fmt.epr "--engine expects ref, flat or trace@.";
-         exit 1);
-      strip_opts rest
     | "--inject" :: spec :: rest ->
       (match Engine.Faults.parse spec with
        | Ok plan -> Engine.Faults.install plan

@@ -130,26 +130,6 @@ let obs_setup trace metrics =
 
 let obs_term = Cmdliner.Term.(const obs_setup $ trace_arg $ metrics_arg)
 
-(* every command that executes programs takes --engine; the chosen
-   engine is installed as the process-wide default so train/search
-   evaluations inherit it too *)
-let engine_conv =
-  Arg.enum
-    [ ("ref", Mach.Sim.Ref); ("flat", Mach.Sim.Flat);
-      ("trace", Mach.Sim.Trace) ]
-
-let engine_arg =
-  Arg.(value & opt engine_conv Mach.Sim.Flat & info [ "engine" ] ~docv:"ENGINE"
-         ~doc:"Execution engine: $(b,flat) (pre-decoded bytecode, the \
-               default), $(b,ref) (the reference interpreter, kept as \
-               the semantics oracle) or $(b,trace) (record the \
-               config-independent event trace once, replay the machine \
-               model over it — fastest when one program is priced \
-               against many machine configs).  All three produce \
-               bit-identical results.")
-
-let set_engine e = Mach.Sim.default_engine := e
-
 (* evaluation-engine args, shared by train/search *)
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
@@ -159,14 +139,6 @@ let cache_dir_arg =
   Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"DIR"
          ~doc:"Persist evaluation results under $(docv) (created if \
                missing); later runs reuse them.")
-
-let tstore_arg =
-  Arg.(value & opt (some string) None & info [ "tstore" ] ~docv:"DIR"
-         ~doc:"Persist generated event traces under $(docv) (created if \
-               missing); later runs, grid replays and distributed \
-               workers reuse them instead of re-executing program \
-               semantics.  Execution goes through the trace engine's \
-               replay path (bit-identical to every other engine).")
 
 let cache_stats_arg =
   Arg.(value & flag & info [ "cache-stats" ]
@@ -209,28 +181,26 @@ let kb_io f =
     Fmt.epr "miracc: knowledge base error: %s@." e;
     exit kb_error_exit
 
-(* trace-store failures share the cache exit code: same class of error
-   (a store directory that cannot be used), same operator remedy *)
-let open_tstore dir =
-  match Engine.Tstore.open_dir dir with
-  | ts -> ts
-  | exception Engine.Tstore.Store_error e ->
-    Fmt.epr "miracc: trace store error: %s@." e;
-    exit cache_error_exit
-  | exception Sys_error e ->
-    Fmt.epr "miracc: trace store error: %s@." e;
-    exit cache_error_exit
-
-let with_tstore dir f =
+(* [f] gets a trace cache backed by the trace store at [dir], or none
+   without one.  Trace-store failures share the cache exit code: same
+   class of error (a store directory that cannot be used), same
+   operator remedy *)
+let with_tcache dir f =
   match dir with
   | None -> f None
   | Some dir ->
-    let ts = open_tstore dir in
+    let ts =
+      match Engine.Tstore.open_dir dir with
+      | ts -> ts
+      | exception (Engine.Tstore.Store_error e | Sys_error e) ->
+        Fmt.epr "miracc: trace store error: %s@." e;
+        exit cache_error_exit
+    in
     Fun.protect
       ~finally:(fun () -> Engine.Tstore.close ts)
-      (fun () -> f (Some ts))
+      (fun () -> f (Some (Engine.Tcache.create ~store:ts ())))
 
-let make_engine ~config ~jobs ~cache ~tstore ~inject ~max_restarts ~share =
+let make_engine ~config ~jobs ~cache ~inject ~max_restarts ~share =
   (match inject with
    | Some spec -> (
      match Engine.Faults.parse spec with
@@ -256,16 +226,12 @@ let make_engine ~config ~jobs ~cache ~tstore ~inject ~max_restarts ~share =
           exit cache_error_exit)
       cache
   in
-  let tstore = Option.map open_tstore tstore in
-  Engine.create ~jobs ?cache ?tstore ~max_respawns:max_restarts ~share config
+  Engine.create ~jobs ?cache ~max_respawns:max_restarts ~share config
 
 let finish_engine ~cache_stats eng =
   if cache_stats then Fmt.pr "%a" (Engine.pp_stats ~wall:true) eng;
   if not (Engine.healthy eng) then Fmt.epr "%a@." Engine.pp_health eng;
-  Engine.Rcache.close (Engine.cache eng);
-  match Engine.Tcache.store (Engine.tcache eng) with
-  | Some ts -> Engine.Tstore.close ts
-  | None -> ()
+  Engine.Rcache.close (Engine.cache eng)
 
 (* --- compile ------------------------------------------------------- *)
 
@@ -291,23 +257,12 @@ let compile_cmd =
 
 let run_cmd =
   let doc = "Compile and execute on the cycle-level machine simulator." in
-  let run file arch level seq show_counters engine tstore profile () =
-    set_engine engine;
+  let run file arch level seq show_counters engine profile () =
     if profile then Obs.Metrics.timing := true;
     let p = load_program file in
     let config = arch_of_name arch in
     let p' = Passes.Pass.apply_sequence (parse_seq ~level ~seq) p in
-    (* with --tstore the run goes through the persisted-trace replay
-       path (bit-identical by the engine oracle); without, the chosen
-       engine as before *)
-    let simulate () =
-      match tstore with
-      | None -> Mach.Sim.run ~config p'
-      | Some dir ->
-        with_tstore (Some dir) (fun ts ->
-            let tcache = Engine.Tcache.create ?store:ts () in
-            (Engine.Grid.run_grid ~tcache ~configs:[| config |] p').(0))
-    in
+    let simulate () = Mach.Sim.run ~engine ~config p' in
     (* --profile: one line on stderr with the decode/execute wall-time
        split, read back from the instrumentation histograms the run
        fills (the ref engine never decodes, reported as such) *)
@@ -351,9 +306,19 @@ let run_cmd =
     Arg.(value & flag & info [ "profile" ]
            ~doc:"Print a one-line decode/execute wall-time split on stderr.")
   in
+  let engine_arg =
+    Arg.(value
+         & opt (enum [ ("ref", Mach.Sim.Ref); ("flat", Mach.Sim.Flat) ])
+             Mach.Sim.Flat
+         & info [ "engine" ] ~docv:"ENGINE"
+             ~doc:"Execution engine: $(b,flat) (pre-decoded bytecode, the \
+                   default) or $(b,ref) (the reference interpreter, kept \
+                   as the semantics oracle).  Both produce bit-identical \
+                   results.")
+  in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ file_arg $ arch_arg $ level_arg $ seq_arg $ counters_flag
-          $ engine_arg $ tstore_arg $ profile_flag $ obs_term)
+          $ engine_arg $ profile_flag $ obs_term)
 
 (* --- features ------------------------------------------------------ *)
 
@@ -369,27 +334,26 @@ let features_cmd =
 
 let counters_cmd =
   let doc = "Profile at -O0 and print per-instruction counter rates." in
-  let run file arch configs engine tstore () =
-    set_engine engine;
+  let run file arch configs tstore () =
     let p = load_program file in
+    (* one semantic execution (the trace, served from the trace store
+       with --tstore), one model replay per config in this process *)
+    let price configs =
+      with_tcache tstore (fun tcache ->
+          Engine.Grid.run_grid ?tcache ~configs p)
+    in
     match configs with
     | None ->
       let config = arch_of_name arch in
       let r =
-        match tstore with
-        | None -> Mach.Sim.run ~config p
-        | Some dir ->
-          with_tstore (Some dir) (fun ts ->
-              let tcache = Engine.Tcache.create ?store:ts () in
-              (Engine.Grid.run_grid ~tcache ~configs:[| config |] p).(0))
+        if tstore = None then Mach.Sim.run ~config p
+        else (price [| config |]).(0)
       in
       List.iter
         (fun (n, v) -> Fmt.pr "%-10s %.6f@." n v)
         (Icc.Characterize.counter_assoc r.Mach.Sim.counters)
     | Some names ->
-      (* architecture grid: one semantic execution (the trace — served
-         from the trace store with --tstore), one model replay per
-         config in this process, one column per config *)
+      (* architecture grid: one column per config *)
       let configs =
         names |> String.split_on_char ',' |> List.map String.trim
         |> List.filter (fun s -> s <> "")
@@ -399,18 +363,11 @@ let counters_cmd =
         Fmt.epr "miracc: --configs needs at least one architecture@.";
         exit 1
       end;
-      let rs =
-        with_tstore tstore (fun ts ->
-            let tcache =
-              Option.map (fun ts -> Engine.Tcache.create ~store:ts ()) ts
-            in
-            Engine.Grid.run_grid ?tcache ~configs p)
-      in
       let assocs =
         Array.map
           (fun (r : Mach.Sim.result) ->
             Icc.Characterize.counter_assoc r.Mach.Sim.counters)
-          rs
+          (price configs)
       in
       Fmt.pr "%-10s" "counter";
       Array.iter (fun c -> Fmt.pr " %12s" c.Mach.Config.name) configs;
@@ -429,9 +386,16 @@ let counters_cmd =
                  executed once, the recorded event trace is replayed \
                  per config, and the table gets one column per config.")
   in
+  let tstore_arg =
+    Arg.(value & opt (some string) None & info [ "tstore" ] ~docv:"DIR"
+           ~doc:"Persist generated event traces under $(docv) (created if \
+                 missing); later runs price the program from the stored \
+                 trace instead of re-executing it.  The table is the one \
+                 a run without the store prints, byte for byte.")
+  in
   Cmd.v (Cmd.info "counters" ~doc)
-    Term.(const run $ file_arg $ arch_arg $ configs_arg $ engine_arg
-          $ tstore_arg $ obs_term)
+    Term.(const run $ file_arg $ arch_arg $ configs_arg $ tstore_arg
+          $ obs_term)
 
 (* --- workloads ----------------------------------------------------- *)
 
@@ -454,8 +418,7 @@ let train_cmd =
     "Build a knowledge base by exploring the built-in workload suite."
   in
   let run out arch per_program exclude jobs cache cache_stats inject
-      max_restarts no_share engine () =
-    set_engine engine;
+      max_restarts no_share () =
     let config = arch_of_name arch in
     let programs =
       Workloads.all
@@ -465,7 +428,7 @@ let train_cmd =
     Fmt.pr "training on %d programs, %d sequences each (%s)...@."
       (List.length programs) per_program config.Mach.Config.name;
     let eng =
-      make_engine ~config ~jobs ~cache ~tstore:None ~inject ~max_restarts
+      make_engine ~config ~jobs ~cache ~inject ~max_restarts
         ~share:(not no_share)
     in
     let kb =
@@ -491,14 +454,13 @@ let train_cmd =
     Term.(
       const run $ out_arg $ arch_arg $ pp_arg $ excl_arg $ jobs_arg
       $ cache_dir_arg $ cache_stats_arg $ inject_arg $ max_restarts_arg
-      $ no_share_arg $ engine_arg $ obs_term)
+      $ no_share_arg $ obs_term)
 
 (* --- predict ------------------------------------------------------- *)
 
 let predict_cmd =
   let doc = "One-shot optimization prediction from a knowledge base." in
-  let run file arch kb_path use_counters trials engine () =
-    set_engine engine;
+  let run file arch kb_path use_counters trials () =
     let p = load_program file in
     let config = arch_of_name arch in
     let kb = kb_io (fun () -> Knowledge.Kb.load kb_path) in
@@ -529,16 +491,14 @@ let predict_cmd =
   in
   Cmd.v (Cmd.info "predict" ~doc)
     Term.(const run $ file_arg $ arch_arg $ kb_arg $ counters_flag
-          $ trials_arg $ engine_arg $ obs_term)
+          $ trials_arg $ obs_term)
 
 (* --- search -------------------------------------------------------- *)
 
 let search_cmd =
   let doc = "Search the optimization space for a program." in
-  let run file arch strategy budget seed kb_path jobs cache tstore
-      cache_stats inject max_restarts no_share engine distribute dist_dir ()
-      =
-    set_engine engine;
+  let run file arch strategy budget seed kb_path jobs cache cache_stats
+      inject max_restarts no_share distribute dist_dir () =
     if distribute > 1 && strategy <> "random" then begin
       Fmt.epr "miracc: --distribute requires --strategy random@.";
       exit 1
@@ -546,7 +506,7 @@ let search_cmd =
     let p = load_program file in
     let config = arch_of_name arch in
     let eng =
-      make_engine ~config ~jobs ~cache ~tstore ~inject ~max_restarts
+      make_engine ~config ~jobs ~cache ~inject ~max_restarts
         ~share:(not no_share)
     in
     let eval = Engine.evaluator eng p in
@@ -577,17 +537,8 @@ let search_cmd =
           let wcache =
             Engine.Rcache.open_dir (Filename.concat worker_dir "cache")
           in
-          (* with --tstore each worker traces into its own store at
-             <worker_dir>/tstore; the coordinator absorbs them all at
-             the end, like the result caches *)
-          let wtstore =
-            Option.map
-              (fun _ -> open_tstore (Filename.concat worker_dir "tstore"))
-              tstore
-          in
           let weng =
-            Engine.create ~jobs:1 ~cache:wcache ?tstore:wtstore
-              ~share:(not no_share) config
+            Engine.create ~jobs:1 ~cache:wcache ~share:(not no_share) config
           in
           fun lo hi ->
             Engine.costs weng p (Array.to_list (Array.sub seqs lo (hi - lo)))
@@ -595,7 +546,6 @@ let search_cmd =
         (match
            Engine.Dist.sweep_local ~workers:distribute ~dir:dist_dir
              ~cache:(Engine.cache eng)
-             ?tstore:(Engine.Tcache.store (Engine.tcache eng))
              ~meta:
                [ ("program", file); ("arch", config.Mach.Config.name);
                  ("seed", string_of_int seed);
@@ -672,9 +622,9 @@ let search_cmd =
   Cmd.v (Cmd.info "search" ~doc)
     Term.(
       const run $ file_arg $ arch_arg $ strategy_arg $ budget_arg $ seed_arg
-      $ kb_opt $ jobs_arg $ cache_dir_arg $ tstore_arg $ cache_stats_arg
-      $ inject_arg $ max_restarts_arg $ no_share_arg $ engine_arg
-      $ distribute_arg $ search_dist_dir_arg $ obs_term)
+      $ kb_opt $ jobs_arg $ cache_dir_arg $ cache_stats_arg $ inject_arg
+      $ max_restarts_arg $ no_share_arg $ distribute_arg $ search_dist_dir_arg
+      $ obs_term)
 
 (* --- distributed sweeps -------------------------------------------- *)
 
@@ -839,8 +789,7 @@ let sweep_serve_cmd =
 let sweep_work_cmd =
   let doc = "Join a distributed sweep as a worker." in
   let run file arch samples seed chunk dir socket slot name jobs cache_stats
-      inject max_restarts no_share engine () =
-    set_engine engine;
+      inject max_restarts no_share () =
     let p = load_program file in
     let config = arch_of_name arch in
     let seqs, job = sweep_inputs ~p ~config ~seed ~samples in
@@ -853,7 +802,7 @@ let sweep_work_cmd =
     mkdir_p dir;
     let eng =
       make_engine ~config ~jobs ~cache:(Some (Filename.concat dir "cache"))
-        ~tstore:None ~inject ~max_restarts ~share:(not no_share)
+        ~inject ~max_restarts ~share:(not no_share)
     in
     let eval lo hi =
       Engine.costs eng p (Array.to_list (Array.sub seqs lo (hi - lo)))
@@ -881,7 +830,7 @@ let sweep_work_cmd =
       const run $ file_arg $ arch_arg $ samples_arg $ sweep_seed_arg
       $ chunk_arg $ dist_dir_arg $ socket_arg $ slot_arg $ name_arg
       $ jobs_arg $ cache_stats_arg $ inject_arg $ max_restarts_arg
-      $ no_share_arg $ engine_arg $ obs_term)
+      $ no_share_arg $ obs_term)
 
 let sweep_status_cmd =
   let doc =

@@ -752,21 +752,7 @@ let work ?(name = Printf.sprintf "w%d" (Unix.getpid ())) ?(slot = -1)
 (* ------------------------------------------------------------------ *)
 (* one-command local mode *)
 
-(* fold every worker's <worker_dir>/<sub> store into the primary one; a
-   donor too mangled to merge costs warm-start on the next run, not
-   correctness *)
-let absorb_workers ~dirs ~sub ~what absorb =
-  List.iter
-    (fun wdir ->
-      let donor = Filename.concat wdir sub in
-      if Sys.file_exists donor then
-        try absorb donor
-        with Dlog.Error msg ->
-          Printf.eprintf "dist: skipping unmergeable worker %s %s: %s\n%!"
-            what donor msg)
-    dirs
-
-let sweep_local ~workers ~dir ?(max_respawns = 2) ?cache ?tstore ?meta spec
+let sweep_local ~workers ~dir ?(max_respawns = 2) ?cache ?meta spec
     ~make_eval =
   if workers <= 0 then invalid_arg "Dist.sweep_local: workers must be > 0";
   mkdir_p dir;
@@ -939,24 +925,30 @@ let sweep_local ~workers ~dir ?(max_respawns = 2) ?cache ?tstore ?meta spec
             reap ();
             r))
   in
+  (* fold every worker's <worker_dir>/cache into the primary store; a
+     donor too mangled to merge costs warm-start on the next run, not
+     correctness *)
   let dirs =
     List.init workers (fun i -> worker_dir ~dir i) @ [ serial_dir dir ]
   in
-  (* the run stats count result-cache merges only; trace stores are
-     counted by their own tstore.absorb* metrics *)
   Option.iter
     (fun c ->
-      absorb_workers ~dirs ~sub:"cache" ~what:"cache" (fun donor ->
-          let a = Rcache.absorb c donor in
-          stats.absorbed <- stats.absorbed + a.Rcache.absorbed;
-          stats.absorb_duplicates <- stats.absorb_duplicates + a.duplicates;
-          stats.absorb_rejected <- stats.absorb_rejected + a.rejected))
+      List.iter
+        (fun wdir ->
+          let donor = Filename.concat wdir "cache" in
+          if Sys.file_exists donor then
+            match Rcache.absorb c donor with
+            | a ->
+              stats.absorbed <- stats.absorbed + a.Rcache.absorbed;
+              stats.absorb_duplicates <-
+                stats.absorb_duplicates + a.duplicates;
+              stats.absorb_rejected <- stats.absorb_rejected + a.rejected
+            | exception Dlog.Error msg ->
+              Printf.eprintf
+                "dist: skipping unmergeable worker cache %s: %s\n%!" donor
+                msg)
+        dirs)
     cache;
-  Option.iter
-    (fun ts ->
-      absorb_workers ~dirs ~sub:"tstore" ~what:"trace store" (fun donor ->
-          ignore (Tstore.absorb ts donor)))
-    tstore;
   (stats, costs)
 
 (* ------------------------------------------------------------------ *)

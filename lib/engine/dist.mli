@@ -147,10 +147,8 @@ val work :
     every worker cache via {!Rcache.absorb} at the end (the merge stats
     land in the returned {!stats}); by convention a worker's cache
     lives at [<worker_dir>/cache] — [make_eval] should put it there to
-    get merged.  [tstore], when given, likewise absorbs every worker
-    trace store from [<worker_dir>/tstore] via {!Tstore.absorb}
-    (counted in the [tstore.*] metrics; an unmergeable donor is skipped
-    with a warning, costing warm-start only).  Worker directories are
+    get merged; an unmergeable donor is skipped with a warning,
+    costing warm-start only.  Worker directories are
     [dir/workers/w<i>] and are kept, so a re-run resumes journals.
     @raise Invalid_argument if [workers <= 0] *)
 val sweep_local :
@@ -158,7 +156,6 @@ val sweep_local :
   dir:string ->
   ?max_respawns:int ->
   ?cache:Rcache.t ->
-  ?tstore:Tstore.t ->
   ?meta:(string * string) list ->
   spec ->
   make_eval:(worker_dir:string -> int -> int -> float array) ->

@@ -54,22 +54,14 @@ type t = {
   max_respawns : int;
   cache : Rcache.t;
   trie : Pctrie.t option;  (* None = sharing disabled (--no-share) *)
-  tcache : Tcache.t;       (* traces, used when the trace engine is on *)
   stats : stats;
   pool_health : Pool.health;
 }
 
 let create ?(jobs = 1) ?cache ?(max_respawns = Pool.default_max_respawns)
-    ?(share = true) ?tcache ?tstore config =
+    ?(share = true) config =
   let cache =
     match cache with Some c -> c | None -> Rcache.in_memory ()
-  in
-  let tcache =
-    (* an explicit tcache keeps its own store wiring; tstore only
-       shapes the default one *)
-    match tcache with
-    | Some c -> c
-    | None -> Tcache.create ?store:tstore ()
   in
   {
     config;
@@ -78,7 +70,6 @@ let create ?(jobs = 1) ?cache ?(max_respawns = Pool.default_max_respawns)
     max_respawns;
     cache;
     trie = (if share then Some (Pctrie.create ()) else None);
-    tcache;
     stats =
       { evals = 0; hits = 0; sims = 0; dedup_hits = 0; failures = 0;
         wall = 0.0 };
@@ -88,7 +79,6 @@ let create ?(jobs = 1) ?cache ?(max_respawns = Pool.default_max_respawns)
 let config t = t.config
 let jobs t = t.jobs
 let cache t = t.cache
-let tcache t = t.tcache
 let stats t = t.stats
 let share t = Option.is_some t.trie
 let trie t = t.trie
@@ -137,41 +127,18 @@ let sim_key t ~ir_digest =
        (String.concat "\x00"
           [ "sim"; ir_digest; t.config_digest; string_of_int fuel ]))
 
-(* Run the simulator on already-compiled code.  On the trace engine the
-   trace cache sits in front: the config-independent event trace is
-   generated (or found) under its (ir digest, fuel) key and replayed
-   against this engine's config — so re-measuring known code on a new
-   machine config costs one model fold, no semantic re-execution.
-   Replay re-raises the traced run's Trap/Out_of_fuel, landing in the
-   same Failure arm as a live run's. *)
+(* Run the simulator on already-compiled code.  A trap or fuel
+   exhaustion becomes a cached Failure entry. *)
 let run_sim t p' ~ir_digest : Rcache.entry =
-  let go () =
-    match !Mach.Sim.default_engine with
-    | Mach.Sim.Trace ->
-      let tr =
-        Tcache.find_or_generate t.tcache ~ir_digest ~fuel
-          (fun () -> Mach.Mtrace.generate_program ~fuel p')
-      in
-      let r = Mach.Replay.run ~config:t.config tr in
-      Rcache.Measured
-        {
-          ir_digest;
-          cycles = r.Mach.Flatsim.cycles;
-          code_size = Ir.program_size p';
-          counters = Array.copy r.Mach.Flatsim.counters;
-        }
-    | Mach.Sim.Ref | Mach.Sim.Flat ->
-      let r = Mach.Sim.run ~config:t.config ~fuel p' in
-      Rcache.Measured
-        {
-          ir_digest;
-          cycles = r.Mach.Sim.cycles;
-          code_size = Ir.program_size p';
-          counters = Array.copy r.Mach.Sim.counters;
-        }
-  in
-  match go () with
-  | e -> e
+  match Mach.Sim.run ~config:t.config ~fuel p' with
+  | r ->
+    Rcache.Measured
+      {
+        ir_digest;
+        cycles = r.Mach.Sim.cycles;
+        code_size = Ir.program_size p';
+        counters = Array.copy r.Mach.Sim.counters;
+      }
   | exception (Mira.Interp.Trap _ | Mira.Interp.Out_of_fuel) ->
     Rcache.Failure { ir_digest }
 
@@ -551,21 +518,6 @@ let pp_stats ?(wall = true) ppf t =
      row "trie hits" (string_of_int (Pctrie.hits trie));
      row "trie misses" (string_of_int (Pctrie.misses trie));
      row "trie evictions" (string_of_int (Pctrie.evictions trie)));
-  (* trace-cache rows only when the trace engine actually ran: the
-     existing flat/ref output shape is pinned by the cram tests *)
-  if Tcache.hits t.tcache + Tcache.misses t.tcache > 0 then begin
-    row "trace hits" (string_of_int (Tcache.hits t.tcache));
-    row "trace misses" (string_of_int (Tcache.misses t.tcache));
-    row "trace evictions" (string_of_int (Tcache.evictions t.tcache));
-    (* store rows only when a durable tier is attached (keeps the
-       cram-pinned shapes of store-less runs intact) *)
-    match Tcache.store t.tcache with
-    | None -> ()
-    | Some store ->
-      row "store hits" (string_of_int (Tstore.hits store));
-      row "store misses" (string_of_int (Tstore.misses store));
-      row "store entries" (string_of_int (Tstore.entries store))
-  end;
   row "failures" (string_of_int s.failures);
   row "hit rate" (Printf.sprintf "%.1f%%" (100.0 *. hit_rate t));
   row "cache entries" (string_of_int (Rcache.known t.cache));

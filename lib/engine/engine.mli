@@ -21,12 +21,6 @@
       are on by default and disabled together by [create ~share:false]
       (the [--no-share] differential baseline: outcomes are identical
       either way, only the work changes);
-    - a bounded trace cache ({!Tcache}) keyed by (compiled-IR digest,
-      fuel) — config deliberately absent — used when the trace engine
-      is selected ([Mach.Sim.default_engine := Trace]): the
-      config-independent event trace is generated once and replayed per
-      machine config, so re-measuring known code on a new config costs
-      one model fold instead of a semantic re-execution;
     - a [Unix.fork] worker pool ({!Pool}) for batches, with per-task
       timeouts and crash retries, returning results in task order so a
       parallel run is bit-identical to a serial one.  With sharing on,
@@ -91,28 +85,20 @@ type t
     [share] (default true) enables the compilation trie and the
     simulation-dedup layer; the trie's LRU of materialized IRs holds
     {!Pctrie.default_capacity} entries.
-    [tcache] plugs in a trace cache (default: a fresh one) — engines for
-    different configs of the same architecture grid should share one, so
-    each program is traced once for the whole grid.  [tstore] attaches a
-    persistent trace store as the default trace cache's durable tier
-    (ignored when an explicit [tcache] is given — wire the store into
-    that cache instead); the caller keeps ownership and closes it. *)
+    Every simulation runs on the flat engine.  Pricing one program on
+    several configs goes through {!Grid.run_grid} instead, which shares
+    one trace across the configs through a {!Tcache}. *)
 val create :
   ?jobs:int ->
   ?cache:Rcache.t ->
   ?max_respawns:int ->
   ?share:bool ->
-  ?tcache:Tcache.t ->
-  ?tstore:Tstore.t ->
   Mach.Config.t ->
   t
 
 val config : t -> Mach.Config.t
 val jobs : t -> int
 val cache : t -> Rcache.t
-
-(** the engine's trace cache (consulted only under the trace engine) *)
-val tcache : t -> Tcache.t
 
 (** is prefix sharing / simulation dedup enabled? *)
 val share : t -> bool

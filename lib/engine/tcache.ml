@@ -115,8 +115,7 @@ let find_or_generate t ~ir_digest ~fuel gen =
     t.misses <- t.misses + 1;
     Obs.Metrics.incr m_misses;
     (* the durable tier answers memory misses before [gen]; a fresh
-       generation is written through so later runs (and absorbed
-       workers) find it *)
+       generation is written through so later runs find it *)
     let tr =
       match t.store with
       | None -> gen ()
@@ -146,7 +145,6 @@ let find_or_generate t ~ir_digest ~fuel gen =
     end;
     tr
 
-let store t = t.store
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions

@@ -40,9 +40,6 @@ val find : t -> ir_digest:string -> fuel:int -> Mach.Mtrace.t option
 val find_or_generate :
   t -> ir_digest:string -> fuel:int -> (unit -> Mach.Mtrace.t) -> Mach.Mtrace.t
 
-(** the attached durable tier, if any *)
-val store : t -> Tstore.t option
-
 (** {2 Statistics} (also mirrored into the Obs metrics registry:
     [tcache.hits] / [tcache.misses] / [tcache.evictions] counters and
     the capacity-pressure gauges [tcache.resident_words] /

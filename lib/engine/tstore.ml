@@ -1,5 +1,5 @@
-(* Persistent on-disk trace store: the cross-run / cross-worker tier
-   below Engine.Tcache (see DESIGN.md "Trace store").  A durable log of
+(* Persistent on-disk trace store: the cross-run tier below
+   Engine.Tcache (see DESIGN.md "Trace store").  A durable log of
    blobs (store.log, header "mira-tstore 2", see Dlog) keyed by <key32>,
    the MD5 hex of (compiled-IR digest, fuel) — the identity Tcache keys
    on, hashed so the marker line needs no quoting.  Each blob's checksum

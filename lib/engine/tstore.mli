@@ -4,9 +4,8 @@
     A {!Dlog} of blobs ([store.log], header [mira-tstore 2], lock
     [tstore.lock]) holds {!Mach.Mtrace.encode}d traces keyed by
     (compiled-IR digest, fuel) — the same config-free identity {!Tcache}
-    uses — so a warm store lets every later run, and every distributed
-    worker, replay architecture grids without executing program
-    semantics again.  Checksums (each over a blob's key and payload),
+    uses — so a warm store lets every later run replay architecture
+    grids without executing program semantics again.  Checksums (each over a blob's key and payload),
     quarantine, self-heal, atomic compaction, the lock and {!absorb} are
     {!Dlog}'s.  A log in format 1 ([mira-tstore 1]) opens with every
     entry quarantined and is rewritten in format 2.

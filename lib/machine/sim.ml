@@ -3,8 +3,9 @@ module Interp = Mira.Interp
 
 (* Cycle-level machine simulator.
 
-   Execution semantics come from the shared engine (Mira.Interp); this
-   module attaches hooks that account time and hardware events:
+   The flat engine runs Decode's dispatch loop with Flatsim's model; the
+   reference engine below runs the plain interpreter (Mira.Interp) with
+   hooks that account time and hardware events:
 
    - simple integer ALU ops are bundled [issue_width] per cycle (a static
      in-order multiple-issue model, VLIW-flavoured for the c6713 preset);
@@ -189,7 +190,6 @@ let execute_ms = Obs.Metrics.histogram "sim.execute_ms"
 let cycles_hist = Obs.Metrics.histogram ~unit_:"cycles" "sim.cycles"
 let ref_runs = Obs.Metrics.counter "sim.runs.ref"
 let flat_runs = Obs.Metrics.counter "sim.runs.flat"
-let trace_runs = Obs.Metrics.counter "sim.runs.trace"
 
 let result_args (r : result) =
   ("cycles", Obs.Trace.Int r.cycles)
@@ -198,23 +198,10 @@ let result_args (r : result) =
        (fun (n, v) -> (n, Obs.Trace.Int v))
        (Counters.to_assoc r.counters)
 
-type engine = Ref | Flat | Trace
-
 (* The flat engine is bit-identical to the hooked reference interpreter
-   (the differential tests enforce it), so it is the default everywhere;
-   [Ref] remains forcible for oracle runs and A/B debugging, and [Trace]
-   splits the run into Mtrace generation + Replay (same results again,
-   three-way-enforced) so repeated runs of one program across configs
-   amortize the semantics. *)
-let default_engine = ref Flat
-
-let engine_of_string = function
-  | "ref" -> Some Ref
-  | "flat" -> Some Flat
-  | "trace" -> Some Trace
-  | _ -> None
-
-let engine_name = function Ref -> "ref" | Flat -> "flat" | Trace -> "trace"
+   (the differential tests enforce it), so it is the default; [Ref]
+   remains for oracle runs and A/B debugging. *)
+type engine = Ref | Flat
 
 (* Reference path: the hooked interpreter over the program AST. *)
 let run_ref ~config ~fuel (p : Ir.program) : result =
@@ -254,32 +241,13 @@ let run_flatsim ~config ~fuel dp : result =
 let run_flat ~config ~fuel (p : Ir.program) : result =
   run_flatsim ~config ~fuel (Mira.Decode.decode p)
 
-(* Trace path: generate the config-independent event trace, then replay
-   the machine model over it.  Mtrace/Replay carry their own spans and
-   histograms; this wrapper keeps sim.execute_ms / sim.cycles comparable
-   across engines. *)
-let run_trace ~config ~fuel (p : Ir.program) : result =
-  Obs.Metrics.incr trace_runs;
-  let go () =
-    Replay.run ~config (Mtrace.generate ~fuel (Mira.Decode.decode p))
-  in
-  let r =
-    Obs.span_with ~cat:"sim" ~hist:execute_ms "tracesim.run"
-      ~end_args:result_args go
-  in
-  Obs.Metrics.observe cycles_hist (float_of_int r.cycles);
-  r
-
 (* Run [p] on the simulated machine.  Raises the engine's exceptions
    (Trap, Out_of_fuel) like the plain interpreter. *)
-let run ?engine ?(config = Config.default) ?(fuel = default_fuel)
+let run ?(engine = Flat) ?(config = Config.default) ?(fuel = default_fuel)
     (p : Ir.program) : result =
-  match
-    match engine with Some e -> e | None -> !default_engine
-  with
+  match engine with
   | Ref -> run_ref ~config ~fuel p
   | Flat -> run_flat ~config ~fuel p
-  | Trace -> run_trace ~config ~fuel p
 
 (* Price one program against a whole architecture grid: one semantic
    execution (trace generation), then one model replay per config, each

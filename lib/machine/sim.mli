@@ -1,12 +1,16 @@
-(** Cycle-level machine simulator.
+(** Cycle-level machine simulator: the entry point of every engine.
 
-    Semantics come from the shared execution engine ({!Mira.Interp});
-    this module attaches hooks that account time and hardware events:
-    dependence-limited multiple issue for simple ALU ops, configured
-    latencies for multiplies/divides/FP, an L1D/L2 hierarchy for memory
-    accesses, a bimodal predictor for conditional branches, and fixed
-    linkage overheads for calls.  Deterministic: same program and config
-    always give the same cycle count. *)
+    Two engines run a program on the simulated machine.  [Flat] decodes
+    it once ({!Mira.Decode}) and runs the one dispatch loop with
+    {!Flatsim}'s machine model; [Ref] is the reference interpreter
+    ({!Mira.Interp}) with hooks, defined here, that account time and
+    hardware events: dependence-limited multiple issue for simple ALU
+    ops, configured latencies for multiplies/divides/FP, an L1D/L2
+    hierarchy for memory accesses, a bimodal predictor for conditional
+    branches, and fixed linkage overheads for calls.  {!run_grid} is the
+    trace engine's one entry at this layer: it prices one program on
+    several configs from a single {!Mtrace} generation.  Deterministic:
+    same program and config always give the same cycle count. *)
 
 (** the one result type of every engine: {!Flatsim} and {!Replay}
     produce it too *)
@@ -20,26 +24,17 @@ type result = Flatsim.result = {
 
 val default_fuel : int
 
-(** Which execution engine carries out the run.  All three are
-    bit-identical (same results, traps, steps, cycles and counters —
-    enforced by the three-way differential tests); [Flat] pre-decodes
-    the program into flat bytecode ({!Mira.Decode}) and runs it with
-    {!Flatsim}'s machine model, 4–7× [Ref]'s throughput in [bench micro]
-    (7.3× on adpcm under the simulator); [Ref] is the original hooked
-    interpreter, kept as the semantics oracle.
-    [Trace] splits the run into {!Mtrace} generation (config-independent
-    event trace) + {!Replay} (machine model folded over the trace) — the
-    same result again, but repeated pricing of one program across
-    machine configs amortizes the semantic execution. *)
-type engine = Ref | Flat | Trace
+(** Which engine carries out {!run}.  Both are bit-identical (same
+    results, traps, steps, cycles and counters, enforced by the
+    differential tests, which hold {!run_grid} to them too).  [Flat]
+    pre-decodes the program into flat bytecode ({!Mira.Decode}) and runs
+    it with {!Flatsim}'s machine model, 4–7× [Ref]'s throughput in
+    [bench micro]; [Ref] is the hooked interpreter, kept as the
+    semantics oracle. *)
+type engine = Ref | Flat
 
-(** engine used when {!run} is not given [?engine]; starts as [Flat] *)
-val default_engine : engine ref
-
-val engine_of_string : string -> engine option
-val engine_name : engine -> string
-
-(** Run a program on the simulated machine.
+(** Run a program on the simulated machine, on [engine] (default
+    [Flat]).
     @raise Mira.Interp.Trap on runtime errors
     @raise Mira.Interp.Out_of_fuel when the step budget is exhausted *)
 val run :

@@ -52,8 +52,9 @@ let diff_plain ?fuel (p : Mira.Ir.program) : string list =
 (* ------------------------------------------------------------------ *)
 (* Under the machine simulator: three-way, with the hooked reference
    interpreter as the semantics-and-model oracle.  Flat (the production
-   engine: Decode.Exec with Flatsim's model) and Trace (Decode.Exec with
-   Mtrace's model, then Replay) are each compared field-by-field against
+   engine: Decode.Exec with Flatsim's model) and the trace engine
+   (Decode.Exec with Mtrace's model, then Replay, entered as a
+   one-config Sim.run_grid) are each compared field-by-field against
    Ref.  Both run the same dispatch loop and share the plan, block
    counters, cache and predictor code, so a trace-only disagreement
    means the counting model, the recorded streams or the count pricing
@@ -61,8 +62,6 @@ let diff_plain ?fuel (p : Mira.Ir.program) : string list =
    at the shared loop, decode or model code.
    Messages carry the config name and the disagreeing engine, e.g.
    "cycles[c6713_like]: ref=412 trace=409". *)
-
-let alt_engines = [ Mach.Sim.Flat; Mach.Sim.Trace ]
 
 let diff_sim ?(config = Mach.Config.default) ?fuel (p : Mira.Ir.program) :
     string list =
@@ -127,9 +126,10 @@ let diff_sim ?(config = Mach.Config.default) ?fuel (p : Mira.Ir.program) :
       else
         against "store" (catching (fun () -> Mach.Replay.run ~config tr'))
   in
-  List.concat_map
-    (fun e -> against (Mach.Sim.engine_name e) (run e))
-    alt_engines
+  against "flat" (run Mach.Sim.Flat)
+  @ against "trace"
+      (catching (fun () ->
+           (Mach.Sim.run_grid ?fuel ~configs:[| config |] p).(0)))
   @ store_leg ()
 
 (* every preset config: the issue widths, cache geometries and predictor

@@ -22,6 +22,14 @@ let check_agree what p =
   | [] -> ()
   | ds -> Alcotest.failf "%s: engines disagree: %s" what (String.concat "; " ds)
 
+(* the three simulator engines on the default config; the trace engine
+   is entered, as everywhere, through a (one-config) grid *)
+let sim_engines =
+  [ ("ref", fun p -> Mach.Sim.run ~engine:Mach.Sim.Ref p);
+    ("flat", fun p -> Mach.Sim.run ~engine:Mach.Sim.Flat p);
+    ("trace",
+     fun p -> (Mach.Sim.run_grid ~configs:[| Mach.Config.default |] p).(0)) ]
+
 (* --- workload suite ------------------------------------------------ *)
 
 let test_workloads_agree () =
@@ -60,15 +68,11 @@ let test_padded_copy_agrees () =
           let p = Passes.Pass.apply_sequence seq (Workloads.program w) in
           let padded = Padded.program p in
           List.iter
-            (fun engine ->
-              if
-                not
-                  (same (Mach.Sim.run ~engine p)
-                     (Mach.Sim.run ~engine padded))
-              then
+            (fun (name, run) ->
+              if not (same (run p) (run padded)) then
                 Alcotest.failf "%s at %s on %s: padded copy runs differently"
-                  w.Workloads.name label (Mach.Sim.engine_name engine))
-            [ Mach.Sim.Ref; Mach.Sim.Flat; Mach.Sim.Trace ])
+                  w.Workloads.name label name)
+            sim_engines)
         [ ("O0", []); ("Ofast", Passes.Pass.ofast) ])
     Workloads.all
 
@@ -350,12 +354,12 @@ let test_negative_register_edge () =
       [ (0, Ir.block ~instrs:[ Ir.Mov (-1, Ir.Cint 1) ] (Ir.Ret None)) ]
   in
   List.iter
-    (fun engine ->
+    (fun (name, run) ->
       Alcotest.(check bool)
-        (Mach.Sim.engine_name engine ^ ": negative def raises")
+        (name ^ ": negative def raises")
         true
-        (raises_invalid (fun () -> Mach.Sim.run ~engine neg_def)))
-    [ Mach.Sim.Ref; Mach.Sim.Flat; Mach.Sim.Trace ];
+        (raises_invalid (fun () -> run neg_def)))
+    sim_engines;
   let undef_then_neg =
     main_of ~nregs:1
       [ (0, Ir.block ~instrs:[ Ir.Bin (Ir.Add, 0, Ir.Reg (-1), Ir.Reg 0) ]

@@ -571,47 +571,39 @@ let test_tcache_oversized_bypass () =
   Alcotest.(check int) "uncached counted" 2 (Tcache.uncached t);
   Alcotest.(check int) "no evictions" 0 (Tcache.evictions t)
 
-(* --- the engine's trace path ----------------------------------------- *)
+(* --- the trace cache behind the grid entry ---------------------------- *)
 
-(* Two engines for different grid configs sharing one trace cache: the
-   program is traced once, and the trace engine's outcomes match the
-   flat engine's bit for bit. *)
+(* Pricing one program on each grid config in turn, through one shared
+   trace cache: the program is traced once, and every config's result
+   matches the evaluation engine's (flat) cycles and counters bit for
+   bit. *)
 let test_engine_trace_path () =
   let p = Workloads.program (List.hd Workloads.all) in
-  let saved = !Mach.Sim.default_engine in
-  Fun.protect
-    ~finally:(fun () -> Mach.Sim.default_engine := saved)
-    (fun () ->
-      Mach.Sim.default_engine := Mach.Sim.Trace;
-      let tcache = Tcache.create () in
-      let outcomes =
-        List.map
-          (fun config ->
-            let eng = Engine.create ~jobs:1 ~tcache config in
-            let o = Engine.eval eng p [] in
-            Engine.Rcache.close (Engine.cache eng);
-            o)
-          Config.all
-      in
-      Alcotest.(check int) "traced once" 1 (Tcache.misses tcache);
-      Alcotest.(check int)
-        "grid hits"
-        (List.length Config.all - 1)
-        (Tcache.hits tcache);
-      Mach.Sim.default_engine := Mach.Sim.Flat;
-      List.iter2
-        (fun config (o : Engine.outcome) ->
-          let eng = Engine.create ~jobs:1 config in
-          let f = Engine.eval eng p [] in
-          Engine.Rcache.close (Engine.cache eng);
-          Alcotest.(check (option int))
-            (config.Config.name ^ ": cycles")
-            f.Engine.cycles o.Engine.cycles;
-          Alcotest.(check bool)
-            (config.Config.name ^ ": counters")
-            true
-            (f.Engine.counters = o.Engine.counters))
-        Config.all outcomes)
+  let tcache = Tcache.create () in
+  let results =
+    List.map
+      (fun config ->
+        (Engine.Grid.run_grid ~tcache ~configs:[| config |] p).(0))
+      Config.all
+  in
+  Alcotest.(check int) "traced once" 1 (Tcache.misses tcache);
+  Alcotest.(check int)
+    "grid hits"
+    (List.length Config.all - 1)
+    (Tcache.hits tcache);
+  List.iter2
+    (fun config (r : Flatsim.result) ->
+      let eng = Engine.create ~jobs:1 config in
+      let f = Engine.eval eng p [] in
+      Engine.Rcache.close (Engine.cache eng);
+      Alcotest.(check (option int))
+        (config.Config.name ^ ": cycles")
+        f.Engine.cycles (Some r.Flatsim.cycles);
+      Alcotest.(check bool)
+        (config.Config.name ^ ": counters")
+        true
+        (f.Engine.counters = Some r.Flatsim.counters))
+    Config.all results
 
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
