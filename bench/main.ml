@@ -28,7 +28,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("tab8", "cross-architecture adaptation [extension]", Extensions.tab8);
     ("micro", "bechamel microbenchmarks", Micro.run);
     ("sweep", "prefix-sharing sweep benchmark (cold/warm, share on/off)", Sweep.run);
-    ("dist", "distributed sweep benchmark (1/2/4 workers + fault injection)", Dist_bench.run);
     ("arch", "architecture-grid replay vs per-config simulation", Arch.run);
   ]
 
@@ -53,13 +52,6 @@ let () =
       strip_opts rest
     | "--no-share" :: rest ->
       Util.share := false;
-      strip_opts rest
-    | "--distribute" :: n :: rest ->
-      (match int_of_string_opt n with
-       | Some w when w >= 1 -> Util.distribute := w
-       | _ ->
-         Fmt.epr "--distribute expects a positive integer@.";
-         exit 1);
       strip_opts rest
     | "--tstore" :: dir :: rest ->
       Util.tstore := Some dir;

@@ -24,10 +24,6 @@ let write_report file doc =
    and simulation dedup (the differential baseline) *)
 let share = ref true
 
-(* main.ml's --distribute flag: run checkpointed sweeps on N forked
-   worker processes (coordinator/worker sharding, 1 = in-process) *)
-let distribute = ref 1
-
 (* main.ml's --tstore flag: persistent trace store directory for the
    arch experiment's cross-run warm phase (empty first run populates it;
    later runs replay straight from disk) *)
@@ -76,40 +72,9 @@ let sweep_costs (eng : Engine.t) ~id target seqs =
                  (Array.map Passes.Pass.sequence_to_string seqs))))
   in
   let path = Filename.concat data_dir ("journal-" ^ id ^ ".log") in
-  if !distribute <= 1 then
-    Engine.Journal.run ~path ~key ~chunk_size:sweep_chunk
-      ~n:(Array.length seqs) (fun lo hi ->
-        Engine.costs eng target
-          (Array.to_list (Array.sub seqs lo (hi - lo))))
-  else begin
-    (* distributed: same journal key as the serial path (it already
-       binds program, machine and sequence list), shards served to
-       forked workers, per-worker caches folded back into this engine's
-       cache — bit-identical to the in-process sweep by construction *)
-    let n = Array.length seqs in
-    let spec =
-      { Engine.Dist.job = key; n; chunk_size = sweep_chunk;
-        shards = min n (!distribute * 4) }
-    in
-    let config = Engine.config eng in
-    let make_eval ~worker_dir =
-      let cache =
-        Engine.Rcache.open_dir (Filename.concat worker_dir "cache")
-      in
-      let weng = Engine.create ~jobs:1 ~cache ~share:!share config in
-      fun lo hi ->
-        Engine.costs weng target
-          (Array.to_list (Array.sub seqs lo (hi - lo)))
-    in
-    let _st, costs =
-      Engine.Dist.sweep_local ~workers:!distribute
-        ~dir:(Filename.concat data_dir ("dist-" ^ id))
-        ~cache:(Engine.cache eng)
-        ~meta:[ ("bench_id", id); ("arch", config.Mach.Config.name) ]
-        spec ~make_eval
-    in
-    costs
-  end
+  Engine.Journal.run ~path ~key ~chunk_size:sweep_chunk
+    ~n:(Array.length seqs) (fun lo hi ->
+      Engine.costs eng target (Array.to_list (Array.sub seqs lo (hi - lo))))
 
 (* One knowledge base per (arch, per_program); built over the full workload
    suite and cached on disk.  Experiments requiring leave-one-out use

@@ -8,9 +8,6 @@
      train      build a knowledge base from the built-in workload suite
      predict    one-shot optimization prediction from a knowledge base
      search     iterative search for a good sequence (random/hill/genetic/focused)
-     sweep-serve  coordinate a distributed sweep (serve shards to workers)
-     sweep-work   join a distributed sweep as a worker
-     sweep-status report a distributed run directory (manifest, journals)
      workloads  list the built-in benchmark suite
      dynamic    demo the dynamic optimizer on a phased workload *)
 
@@ -157,8 +154,19 @@ let inject_arg =
                point@occurrence[=arg] directives (e.g. worker-crash@3, \
                torn-append@5). Also readable from \\$MIRA_FAULTS.")
 
+(* a negative restart budget is a usage error (exit 124), not an
+   [Invalid_argument] out of Pool.map *)
+let non_negative_int =
+  Arg.conv'
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 0 -> Ok n
+        | _ ->
+          Error (Printf.sprintf "invalid value '%s', must be >= 0" s)),
+      Format.pp_print_int )
+
 let max_restarts_arg =
-  Arg.(value & opt int Engine.Pool.default_max_respawns
+  Arg.(value & opt non_negative_int Engine.Pool.default_max_respawns
        & info [ "max-worker-restarts" ] ~docv:"N"
            ~doc:"Give up respawning dead evaluation workers after $(docv) \
                  attempts per batch and degrade to serial execution.")
@@ -166,10 +174,6 @@ let max_restarts_arg =
 (* exit code 4: the cache directory cannot be used (locked, unreadable,
    not a cache); distinct from source errors (1), traps (2), fuel (3) *)
 let cache_error_exit = 4
-
-(* exit code 5: distributed-sweep orchestration failure (socket
-   unusable, worker rejected, protocol breakdown) *)
-let dist_error_exit = 5
 
 (* exit code 6: a knowledge-base file that cannot be read, parsed or
    written *)
@@ -498,11 +502,7 @@ let predict_cmd =
 let search_cmd =
   let doc = "Search the optimization space for a program." in
   let run file arch strategy budget seed kb_path jobs cache cache_stats
-      inject max_restarts no_share distribute dist_dir () =
-    if distribute > 1 && strategy <> "random" then begin
-      Fmt.epr "miracc: --distribute requires --strategy random@.";
-      exit 1
-    end;
+      inject max_restarts no_share () =
     let p = load_program file in
     let config = arch_of_name arch in
     let eng =
@@ -512,52 +512,6 @@ let search_cmd =
     let eval = Engine.evaluator eng p in
     let result =
       match strategy with
-      | "random" when distribute > 1 ->
-        (* one-command local distribution: fork [distribute] workers,
-           each a full engine evaluating shards of the same planned
-           schedule into its own journal + cache; bit-identical to the
-           batched serial walk below by construction *)
-        let seqs = Search.Strategies.random_plan ~seed ~budget () in
-        let job =
-          Digest.to_hex
-            (Digest.string
-               (String.concat "\x00"
-                  (Mach.Config.digest config :: Engine.ir_digest p
-                   :: Printf.sprintf "seed=%d" seed
-                   :: Printf.sprintf "budget=%d" budget
-                   :: (Array.to_list seqs
-                       |> List.map Passes.Pass.sequence_to_string))))
-        in
-        let n = Array.length seqs in
-        let spec =
-          { Engine.Dist.job; n; chunk_size = 10;
-            shards = min n (distribute * 4) }
-        in
-        let make_eval ~worker_dir =
-          let wcache =
-            Engine.Rcache.open_dir (Filename.concat worker_dir "cache")
-          in
-          let weng =
-            Engine.create ~jobs:1 ~cache:wcache ~share:(not no_share) config
-          in
-          fun lo hi ->
-            Engine.costs weng p (Array.to_list (Array.sub seqs lo (hi - lo)))
-        in
-        (match
-           Engine.Dist.sweep_local ~workers:distribute ~dir:dist_dir
-             ~cache:(Engine.cache eng)
-             ~meta:
-               [ ("program", file); ("arch", config.Mach.Config.name);
-                 ("seed", string_of_int seed);
-                 ("budget", string_of_int budget) ]
-             spec ~make_eval
-         with
-         | _st, costs ->
-           Search.Strategies.exhaustive_batched (Array.to_list seqs)
-             (fun _ -> costs)
-         | exception Engine.Dist.Dist_error e ->
-           Fmt.epr "miracc: dist error: %s@." e;
-           exit dist_error_exit)
       | "random" ->
         (* batched: plan the whole random schedule up front, score it in
            one engine batch (prefix sharing, simulation dedup and the
@@ -601,400 +555,34 @@ let search_cmd =
     Arg.(value & opt string "focused" & info [ "strategy" ] ~docv:"S")
   in
   let budget_arg =
-    Arg.(value & opt int 20 & info [ "budget" ] ~docv:"N")
+    Arg.(value & opt int 20 & info [ "budget" ] ~docv:"N"
+           ~doc:"Evaluations to spend, a positive integer.  $(b,--strategy \
+                 genetic) ignores it: its population and generation \
+                 counts fix its cost.")
+  in
+  (* every strategy but genetic spends the budget, and Strategies raises
+     [Invalid_argument] on one below 1: refuse it as a usage error *)
+  let budget_term =
+    Term.(
+      cli_parse_result'
+        (const (fun strategy budget ->
+             if budget > 0 || strategy = "genetic" then Ok budget
+             else
+               Error
+                 (Printf.sprintf
+                    "option '--budget': invalid value '%d', must be >= 1"
+                    budget))
+        $ strategy_arg $ budget_arg))
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED") in
   let kb_opt =
     Arg.(value & opt (some string) None & info [ "kb" ] ~docv:"FILE")
   in
-  let distribute_arg =
-    Arg.(value & opt int 1 & info [ "distribute" ] ~docv:"N"
-           ~doc:"Run the sweep on $(docv) forked worker processes, each \
-                 a full engine with its own journal and cache, merged at \
-                 the end; random strategy only.  Results are \
-                 bit-identical to a single-process run.")
-  in
-  let search_dist_dir_arg =
-    Arg.(value & opt string "mira-dist" & info [ "dist-dir" ] ~docv:"DIR"
-           ~doc:"Run directory for --distribute (manifest, per-worker \
-                 journals and caches).")
-  in
   Cmd.v (Cmd.info "search" ~doc)
     Term.(
-      const run $ file_arg $ arch_arg $ strategy_arg $ budget_arg $ seed_arg
+      const run $ file_arg $ arch_arg $ strategy_arg $ budget_term $ seed_arg
       $ kb_opt $ jobs_arg $ cache_dir_arg $ cache_stats_arg $ inject_arg
-      $ max_restarts_arg $ no_share_arg $ distribute_arg $ search_dist_dir_arg
-      $ obs_term)
-
-(* --- distributed sweeps -------------------------------------------- *)
-
-(* Both ends of a distributed sweep independently reconstruct the same
-   sequence list from (file, arch, seed, samples) and fold it all into
-   the job digest, so a worker launched with different inputs is
-   rejected at hello instead of contributing wrong numbers. *)
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir)
-  then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let sweep_inputs ~p ~config ~seed ~samples =
-  let rng = Random.State.make [| seed |] in
-  let seqs = Array.of_list (Search.Space.sample_distinct rng samples) in
-  let job =
-    Digest.to_hex
-      (Digest.string
-         (String.concat "\x00"
-            (Mach.Config.digest config :: Engine.ir_digest p
-             :: Printf.sprintf "seed=%d" seed
-             :: Printf.sprintf "samples=%d" samples
-             :: (Array.to_list seqs |> List.map Passes.Pass.sequence_to_string))))
-  in
-  (seqs, job)
-
-let report_best seqs costs =
-  let best = ref 0 in
-  Array.iteri (fun i c -> if c < costs.(!best) then best := i) costs;
-  Fmt.pr "evaluations: %d@." (Array.length costs);
-  Fmt.pr "best sequence: %s@."
-    (Passes.Pass.sequence_to_string seqs.(!best));
-  Fmt.pr "best cost: %.0f cycles@." costs.(!best)
-
-let dist_dir_arg =
-  Arg.(value & opt string "mira-dist" & info [ "dir" ] ~docv:"DIR"
-         ~doc:"Run directory: the manifest, the coordinator socket and \
-               (for local workers) per-worker journals and caches live \
-               under $(docv).")
-
-let socket_arg =
-  Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
-         ~doc:"Unix-domain socket path (default: DIR/coord.sock).")
-
-let samples_arg =
-  Arg.(value & opt int 400 & info [ "samples" ] ~docv:"N"
-         ~doc:"Distinct random sequences in the sweep.")
-
-let sweep_seed_arg =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED"
-         ~doc:"Sampling seed; part of the job key.")
-
-let chunk_arg =
-  Arg.(value & opt int 10 & info [ "chunk-size" ] ~docv:"N"
-         ~doc:"Journal checkpoint granularity within a shard.")
-
-let sweep_serve_cmd =
-  let doc = "Coordinate a distributed sweep: serve shards to workers." in
-  let run file arch samples seed workers shards chunk dir socket cache
-      cache_stats () =
-    if samples <= 0 then begin
-      Fmt.epr "miracc: --samples must be > 0@.";
-      exit 1
-    end;
-    let p = load_program file in
-    let config = arch_of_name arch in
-    let seqs, job = sweep_inputs ~p ~config ~seed ~samples in
-    let socket = Option.value socket ~default:(Filename.concat dir "coord.sock") in
-    let shards = match shards with Some s -> s | None -> workers * 4 in
-    let spec =
-      { Engine.Dist.job; n = Array.length seqs; chunk_size = chunk; shards }
-    in
-    let meta =
-      [ ("program", file); ("arch", config.Mach.Config.name);
-        ("seed", string_of_int seed); ("samples", string_of_int samples) ]
-    in
-    match Engine.Dist.serve ~socket ~dir ~workers ~meta spec with
-    | st, costs ->
-      report_best seqs costs;
-      Fmt.pr "workers: %d, shards: %d, steals: %d, requeues: %d, deaths: %d@."
-        st.Engine.Dist.workers_seen st.Engine.Dist.shards_served
-        st.Engine.Dist.steals st.Engine.Dist.requeues
-        st.Engine.Dist.worker_deaths;
-      (match cache with
-       | None -> ()
-       | Some cdir -> (
-         (* fold whatever worker caches landed under dir/workers/ into
-            the primary store, the same merge sweep_local does *)
-         match Engine.Rcache.open_dir cdir with
-         | primary ->
-           let wroot = Filename.concat dir "workers" in
-           let donors =
-             match Sys.readdir wroot with
-             | names ->
-               Array.to_list names
-               |> List.sort compare
-               |> List.map (fun n ->
-                      Filename.concat (Filename.concat wroot n) "cache")
-               |> List.filter Sys.file_exists
-             | exception Sys_error _ -> []
-           in
-           (* a worker that just heard [fin] may still hold its cache
-              lock for a moment while it shuts down — retry briefly
-              before declaring the donor unmergeable *)
-           let absorb_patiently donor =
-             let rec go tries =
-               match Engine.Rcache.absorb primary donor with
-               | s -> Some s
-               | exception Engine.Rcache.Cache_error e ->
-                 if tries > 0 then begin
-                   ignore (Unix.select [] [] [] 0.1);
-                   go (tries - 1)
-                 end
-                 else begin
-                   Fmt.epr
-                     "miracc: skipping unmergeable worker cache %s: %s@."
-                     donor e;
-                   None
-                 end
-             in
-             go 30
-           in
-           let a, d, r =
-             List.fold_left
-               (fun (a, d, r) donor ->
-                 match absorb_patiently donor with
-                 | Some s ->
-                   ( a + s.Engine.Rcache.absorbed,
-                     d + s.Engine.Rcache.duplicates,
-                     r + s.Engine.Rcache.rejected )
-                 | None -> (a, d, r))
-               (0, 0, 0) donors
-           in
-           Fmt.pr "cache merge: %d absorbed, %d duplicates, %d rejected@." a d r;
-           if cache_stats then
-             Fmt.pr "primary cache entries resident: %d@."
-               (Engine.Rcache.resident primary);
-           Engine.Rcache.close primary
-         | exception Engine.Rcache.Cache_error e ->
-           Fmt.epr "miracc: cache error: %s@." e;
-           exit cache_error_exit))
-    | exception Engine.Dist.Dist_error e ->
-      Fmt.epr "miracc: dist error: %s@." e;
-      exit dist_error_exit
-  in
-  let workers_arg =
-    Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N"
-           ~doc:"Expected worker count (home-slot count for shard homing).")
-  in
-  let shards_arg =
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N"
-           ~doc:"Shards to plan (default: workers * 4).")
-  in
-  Cmd.v (Cmd.info "sweep-serve" ~doc)
-    Term.(
-      const run $ file_arg $ arch_arg $ samples_arg $ sweep_seed_arg
-      $ workers_arg $ shards_arg $ chunk_arg $ dist_dir_arg $ socket_arg
-      $ cache_dir_arg $ cache_stats_arg $ obs_term)
-
-let sweep_work_cmd =
-  let doc = "Join a distributed sweep as a worker." in
-  let run file arch samples seed chunk dir socket slot name jobs cache_stats
-      inject max_restarts no_share () =
-    let p = load_program file in
-    let config = arch_of_name arch in
-    let seqs, job = sweep_inputs ~p ~config ~seed ~samples in
-    let socket = Option.value socket ~default:(Filename.concat dir "coord.sock") in
-    (* shards is the coordinator's business; the worker only needs the
-       job identity and the chunking *)
-    let spec =
-      { Engine.Dist.job; n = Array.length seqs; chunk_size = chunk; shards = 1 }
-    in
-    mkdir_p dir;
-    let eng =
-      make_engine ~config ~jobs ~cache:(Some (Filename.concat dir "cache"))
-        ~inject ~max_restarts ~share:(not no_share)
-    in
-    let eval lo hi =
-      Engine.costs eng p (Array.to_list (Array.sub seqs lo (hi - lo)))
-    in
-    match Engine.Dist.work ?name ~slot ~socket ~dir spec ~eval () with
-    | completed ->
-      Fmt.pr "shards completed: %d@." completed;
-      finish_engine ~cache_stats eng
-    | exception Engine.Dist.Dist_error e ->
-      Fmt.epr "miracc: dist error: %s@." e;
-      exit dist_error_exit
-  in
-  let slot_arg =
-    Arg.(value & opt int (-1) & info [ "slot" ] ~docv:"N"
-           ~doc:"Home slot to request ($(docv) >= 0): a rejoining worker \
-                 given its old slot is offered its half-journaled shard \
-                 first.")
-  in
-  let name_arg =
-    Arg.(value & opt (some string) None & info [ "name" ] ~docv:"NAME"
-           ~doc:"Worker name shown to the coordinator (default: w<pid>).")
-  in
-  Cmd.v (Cmd.info "sweep-work" ~doc)
-    Term.(
-      const run $ file_arg $ arch_arg $ samples_arg $ sweep_seed_arg
-      $ chunk_arg $ dist_dir_arg $ socket_arg $ slot_arg $ name_arg
-      $ jobs_arg $ cache_stats_arg $ inject_arg $ max_restarts_arg
-      $ no_share_arg $ obs_term)
-
-let sweep_status_cmd =
-  let doc =
-    "Report a distributed run directory: progress, per-worker health, rollup."
-  in
-  (* one snapshot of the run, rebuilt cold from the directory (manifest
-     + journals + worker metrics + any live rollup.json the coordinator
-     left) — works on finished, crashed and in-flight runs alike *)
-  let snapshot dir =
-    match Engine.Dist.survey ~dir with
-    | Some input -> input
-    | None ->
-      let path = Filename.concat dir "manifest.json" in
-      Fmt.epr "miracc: %s manifest at %s@."
-        (if Sys.file_exists path then "unreadable" else "no")
-        path;
-      exit 1
-  in
-  let totals (input : Obs.Rollup.input) =
-    List.fold_left
-      (fun (d, t, torn) (s : Obs.Rollup.shard) ->
-        (d + s.chunks_done, t + s.chunks_total, torn + s.torn))
-      (0, 0, 0) input.Obs.Rollup.shards
-  in
-  let progress_line (input : Obs.Rollup.input) =
-    let done_, total, torn = totals input in
-    let pct = if total > 0 then 100 * done_ / total else 0 in
-    let b = Buffer.create 80 in
-    Buffer.add_string b
-      (Printf.sprintf "progress: %d/%d chunks (%d%%)" done_ total pct);
-    let el = input.Obs.Rollup.elapsed_s in
-    if el > 0.0 && done_ > 0 then begin
-      Buffer.add_string b (Printf.sprintf ", elapsed %.1fs" el);
-      if done_ < total then
-        Buffer.add_string b
-          (Printf.sprintf ", eta %.1fs"
-             (el /. float_of_int done_ *. float_of_int (total - done_)))
-    end;
-    if torn > 0 then
-      Buffer.add_string b
-        (Printf.sprintf " [%d torn line%s skipped]" torn
-           (if torn = 1 then "" else "s"));
-    Buffer.contents b
-  in
-  let print_human dir (input : Obs.Rollup.input) =
-    (* the manifest's provenance fields, spelled as in the file *)
-    let manifest = Filename.concat dir "manifest.json" in
-    (match Obs.Json.(parse (read_file manifest)) with
-     | Obs.Json.Obj members ->
-       List.iter
-         (fun ((k, _) as m) ->
-           if
-             List.mem k
-               [ "schema"; "run"; "git_rev"; "git_dirty"; "job"; "n";
-                 "chunk_size"; "shards" ]
-           then Fmt.pr "%s,@." (Obs.Json.member m))
-         members
-     | _ | (exception (Sys_error _ | Obs.Json.Error _)) -> ());
-    List.iter
-      (fun (s : Obs.Rollup.shard) ->
-        Fmt.pr "shard %d%s: %d/%d chunks%s@." s.shard
-          (if s.worker = "" then "" else Printf.sprintf " (%s)" s.worker)
-          s.chunks_done s.chunks_total
-          (if s.torn > 0 then
-             Printf.sprintf " [%d torn line%s skipped]" s.torn
-               (if s.torn = 1 then "" else "s")
-           else ""))
-      input.Obs.Rollup.shards;
-    Fmt.pr "%s@." (progress_line input);
-    if input.Obs.Rollup.workers_seen > 0 then
-      Fmt.pr
-        "workers: %d seen, %d deaths, %d respawns, %d steals, %d requeues@."
-        input.Obs.Rollup.workers_seen input.Obs.Rollup.worker_deaths
-        input.Obs.Rollup.respawns input.Obs.Rollup.steals
-        input.Obs.Rollup.requeues
-  in
-  let complete (input : Obs.Rollup.input) =
-    let done_, total, _ = totals input in
-    total > 0 && done_ = total
-  in
-  let run dir follow json =
-    if follow then begin
-      (* tail the journals until every chunk is in; one compact line per
-         refresh so the terminal shows the run converging *)
-      let continue = ref true in
-      while !continue do
-        let input = snapshot dir in
-        Fmt.pr "%s@." (progress_line input);
-        if complete input then continue := false else Unix.sleepf 0.5
-      done;
-      if not json then print_human dir (snapshot dir)
-    end;
-    let input = snapshot dir in
-    if json then print_string (Obs.Rollup.to_json input)
-    else if not follow then print_human dir input
-  in
-  let dir_arg =
-    Arg.(required & opt (some string) None & info [ "dir" ] ~docv:"DIR"
-           ~doc:"The run directory to describe.")
-  in
-  let follow_arg =
-    Arg.(value & flag & info [ "follow" ]
-           ~doc:"Keep tailing the journals, printing a progress/ETA line \
-                 per refresh, until the run completes.")
-  in
-  let json_arg =
-    Arg.(value & flag & info [ "json" ]
-           ~doc:"Print the run rollup (schema icc-rollup/1) instead of \
-                 the human report.")
-  in
-  Cmd.v (Cmd.info "sweep-status" ~doc)
-    Term.(const run $ dir_arg $ follow_arg $ json_arg)
-
-let trace_merge_cmd =
-  let doc = "Merge a run's per-process trace files into one Chrome trace." in
-  let run dir output =
-    let sources = Engine.Dist.trace_sources ~dir in
-    if sources = [] then begin
-      Fmt.epr "miracc: no trace files under %s@." dir;
-      exit 1
-    end;
-    let out_path =
-      match output with
-      | Some o -> o
-      | None -> Filename.concat dir "trace-merged.json"
-    in
-    (* never merge the previous merge back in *)
-    let sources = List.filter (fun (_, p) -> p <> out_path) sources in
-    match open_out out_path with
-    | exception Sys_error e ->
-      Fmt.epr "miracc: cannot write %s: %s@." out_path e;
-      exit 1
-    | oc ->
-      let st =
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () -> Obs.Merge.merge_files sources oc)
-      in
-      Fmt.pr "merged %d trace files, %d events -> %s@." st.Obs.Merge.files
-        st.Obs.Merge.events out_path;
-      (match st.Obs.Merge.run with
-       | Some r -> Fmt.pr "run: %s@." r
-       | None -> Fmt.pr "run: (no shared id)@.");
-      if st.Obs.Merge.skipped > 0 then
-        Fmt.pr "skipped %d torn line%s@." st.Obs.Merge.skipped
-          (if st.Obs.Merge.skipped = 1 then "" else "s");
-      List.iter
-        (fun l ->
-          Fmt.epr "miracc: warning: %s announced no matching run id@." l)
-        st.Obs.Merge.mismatched
-  in
-  let dir_arg =
-    Arg.(required & opt (some string) None & info [ "dir" ] ~docv:"DIR"
-           ~doc:"The run directory whose trace files to merge \
-                 (trace*.json at the top level is the coordinator, \
-                 workers/*/trace*.json the workers).")
-  in
-  let output_arg =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-           ~doc:"Write the merged trace to $(docv) (default: \
-                 DIR/trace-merged.json).")
-  in
-  Cmd.v (Cmd.info "trace-merge" ~doc)
-    Term.(const run $ dir_arg $ output_arg)
+      $ max_restarts_arg $ no_share_arg $ obs_term)
 
 (* --- dynamic ------------------------------------------------------- *)
 
@@ -1035,6 +623,5 @@ let () =
        (Cmd.group info
           [
             compile_cmd; run_cmd; features_cmd; counters_cmd; workloads_cmd;
-            train_cmd; predict_cmd; search_cmd; sweep_serve_cmd;
-            sweep_work_cmd; sweep_status_cmd; trace_merge_cmd; dynamic_cmd;
+            train_cmd; predict_cmd; search_cmd; dynamic_cmd;
           ]))

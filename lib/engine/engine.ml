@@ -11,8 +11,6 @@ module Pctrie = Pctrie
 module Tcache = Tcache
 module Tstore = Tstore
 module Grid = Grid
-module Shard = Shard
-module Dist = Dist
 module Ir = Mira.Ir
 module Pass = Passes.Pass
 

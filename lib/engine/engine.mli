@@ -49,8 +49,6 @@ module Pctrie = Pctrie
 module Tcache = Tcache
 module Tstore = Tstore
 module Grid = Grid
-module Shard = Shard
-module Dist = Dist
 
 type outcome = {
   cost : float;             (** cycles, or [infinity] on failure *)

@@ -22,7 +22,7 @@ let known_points =
   [
     "worker-crash"; "worker-hang"; "spawn-fail"; "torn-append";
     "flip-append"; "fail-append"; "stale-lock"; "compact-crash";
-    "sweep-crash"; "sweep-torn"; "dist-worker-exit"; "tstore-write";
+    "sweep-crash"; "sweep-torn"; "tstore-write";
   ]
 
 let parse_directive tok =

@@ -40,11 +40,6 @@ point@*            fire at every occurrence v}
       journaling a chunk, like [kill -9] (occurrence = chunk index);
     - ["sweep-torn"] — a journal chunk record is torn mid-write
       (occurrence = chunk index);
-    - ["dist-worker-exit"] — a distributed-sweep worker [_exit]s
-      mid-shard, right after journaling the shard's first chunk
-      (occurrence = shard id; consulted only on the shard's {e first}
-      attempt, so a worker that rejoins and resumes the shard from its
-      journal survives);
     - ["tstore-write"] — a trace-store append is torn mid-payload (the
       entry header and roughly half the payload bytes reach the disk,
       with no terminator), as a crash mid-write would (counted). *)

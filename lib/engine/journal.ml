@@ -4,11 +4,8 @@
    resumed sweep reproduces an uninterrupted one bit for bit.
 
    Format 2 puts the chunk total next to the key in the header
-   (mira-journal 2|<key>|<total>), so progress reporting — the
-   coordinator of a distributed sweep, `miracc sweep-status` — reads
-   "chunks done / total" straight from the file via [describe] instead
-   of re-deriving the chunking from the sweep inputs.  A v1 journal has
-   no total; it is discarded like any other stale journal. *)
+   (mira-journal 2|<key>|<total>).  A v1 journal has no total; it is
+   discarded like any other stale journal. *)
 
 let magic = "mira-journal 2"
 
@@ -21,7 +18,6 @@ let magic = "mira-journal 2"
 let m_recorded = Obs.Metrics.counter "journal.chunks_recorded"
 let m_reused = Obs.Metrics.counter "journal.chunks_reused"
 let m_discarded = Obs.Metrics.counter "journal.discarded"
-let m_torn_tail = Obs.Metrics.counter "journal.torn_tail"
 let chunk_ms = Obs.Metrics.histogram "journal.chunk_ms"
 
 type t = {
@@ -29,25 +25,20 @@ type t = {
   log : (int * float array) Dlog.t;
 }
 
-type description = { key : string; total : int; done_chunks : int; torn : int }
-
 let header_of ~key ~total = Printf.sprintf "%s|%s|%d" magic key total
 
-(* the inverse of [header_of]; the key itself may contain '|'-free hex
-   only in practice, but parse defensively from both ends *)
-let parse_header line =
-  if not (String.starts_with ~prefix:(magic ^ "|") line) then None
-  else
-    let rest = String.sub line (String.length magic + 1)
-        (String.length line - String.length magic - 1)
-    in
-    match String.rindex_opt rest '|' with
-    | None -> None
-    | Some i ->
-      let key = String.sub rest 0 i in
-      let total = String.sub rest (i + 1) (String.length rest - i - 1) in
-      if key <> "" && Dlog.dec total then Some (key, int_of_string total)
-      else None
+(* is [line] a header [header_of] could have written, for any sweep?
+   The key is '|'-free hex in practice, but parse from both ends *)
+let is_header line =
+  String.starts_with ~prefix:(magic ^ "|") line
+  &&
+  let rest = String.sub line (String.length magic + 1)
+      (String.length line - String.length magic - 1)
+  in
+  match String.rindex_opt rest '|' with
+  | None -> false
+  | Some i ->
+    i > 0 && Dlog.dec (String.sub rest (i + 1) (String.length rest - i - 1))
 
 let payload_of_chunk idx costs =
   Printf.sprintf "chunk|%d|%s" idx
@@ -106,7 +97,7 @@ let open_ ~path ~key ~total =
         else begin
           note_discarded ~path
             ~why:
-              (if parse_header h <> None then "journal for a different sweep"
+              (if is_header h then "journal for a different sweep"
                else "not a sweep journal");
           Dlog.Stale
         end)
@@ -126,42 +117,14 @@ let quarantined t = Dlog.quarantined t.log
 let close t = Dlog.close t.log
 let remove path = if Sys.file_exists path then Sys.remove path
 
-(* progress without resuming: header + count of validly journaled
-   chunks.  Read-only, lock-free — safe to call on a journal another
-   process is appending to (at worst the count is one chunk behind).
-   A line that fails the checksum or does not parse as a chunk — a
-   worker killed mid-append leaves exactly one such torn tail — is
-   counted in [torn] (and in the journal.torn_tail metric) instead of
-   failing the description: a progress report over a crashed run is the
-   main reason this function exists. *)
-let describe ~path =
-  let desc = ref None and seen = Hashtbl.create 16 and torn = ref 0 in
-  match
-    Dlog.scan spec path
-      ~header:(fun h ->
-        desc := parse_header h;
-        if !desc = None then Dlog.Stale else Dlog.Current)
-      ~bad:(fun () ->
-        incr torn;
-        Obs.Metrics.incr m_torn_tail)
-      (fun k _ _ -> Hashtbl.replace seen k ())
-  with
-  | exception Sys_error _ -> None
-  | _ ->
-    Option.map
-      (fun (key, total) ->
-        { key; total; done_chunks = Hashtbl.length seen; torn = !torn })
-      !desc
-
-(* the chunking parameters are part of the identity of the sweep *)
-let derived_key ~key ~chunk_size ~n =
-  Digest.to_hex
-    (Digest.string (Printf.sprintf "%s\x00%d\x00%d" key chunk_size n))
-
-let run ?on_chunk ~path ~key ~chunk_size ~n eval =
+let run ~path ~key ~chunk_size ~n eval =
   if chunk_size <= 0 then invalid_arg "Journal.run: chunk_size must be > 0";
   if n < 0 then invalid_arg "Journal.run: n must be >= 0";
-  let key = derived_key ~key ~chunk_size ~n in
+  (* the chunking parameters are part of the identity of the sweep *)
+  let key =
+    Digest.to_hex
+      (Digest.string (Printf.sprintf "%s\x00%d\x00%d" key chunk_size n))
+  in
   let nchunks = (n + chunk_size - 1) / chunk_size in
   let t = open_ ~path ~key ~total:nchunks in
   Fun.protect
@@ -193,7 +156,6 @@ let run ?on_chunk ~path ~key ~chunk_size ~n eval =
             Obs.Metrics.incr m_recorded;
             (* simulate kill -9 between chunks, for the resume tests *)
             if Faults.fires ~index:c "sweep-crash" then Unix._exit 21;
-            (match on_chunk with Some f -> f c | None -> ());
             costs
         in
         Array.blit costs 0 out lo (hi - lo)

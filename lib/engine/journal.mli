@@ -14,13 +14,7 @@
     is discarded rather than resumed, so stale progress can never leak
     into a changed experiment.  A discard is counted in the
     [journal.discarded] metric and warned about on stderr — it means a
-    checkpoint someone paid for is about to be recomputed.
-
-    The header carries the chunk total, so {!describe} reports
-    progress (key, chunks done / total) straight from the file —
-    that is how the distributed-sweep coordinator and
-    [miracc sweep-status] render shard progress without re-deriving
-    the chunking. *)
+    checkpoint someone paid for is about to be recomputed. *)
 
 type t
 
@@ -46,38 +40,18 @@ val close : t -> unit
 (** delete a journal file (e.g. to force a fresh sweep); missing is fine *)
 val remove : string -> unit
 
-(** what {!describe} reads out of a journal file; [torn] counts lines
-    that failed the checksum or chunk parse — a worker killed mid-append
-    leaves exactly one *)
-type description = { key : string; total : int; done_chunks : int; torn : int }
-
-(** [describe ~path] — the journal's key and chunks done / total,
-    read-only and lock-free ([None] if [path] is missing or not a
-    journal).  Safe to call on a journal another process is appending
-    to: at worst the count is one chunk behind.  Torn lines are skipped
-    and counted (in [torn] and the [journal.torn_tail] metric), never
-    fatal: progress reports over crashed runs are the point. *)
-val describe : path:string -> description option
-
-(** the key {!run} actually stamps in the journal header: the caller's
-    key folded with the chunking parameters.  Exposed so a progress
-    reader can match a journal file on disk against a manifest's
-    per-shard key without resuming it. *)
-val derived_key : key:string -> chunk_size:int -> n:int -> string
-
 (** [run ~path ~key ~chunk_size ~n eval] — the checkpointed sweep
     driver.  Computes [eval lo hi] (costs of items [lo..hi-1], in
     order) for every chunk not already journaled under [key] at [path],
-    journaling each as it completes, and returns all [n] costs.  After
-    journaling a chunk it consults the [sweep-crash] fault point
+    journaling each as it completes, and returns all [n] costs.  The
+    header holds [key] folded with [chunk_size] and [n] (as an MD5 hex
+    digest), so a change to the chunking discards the journal too.
+    After journaling a chunk it consults the [sweep-crash] fault point
     (occurrence = chunk index) and [_exit]s — simulating [kill -9] —
-    when it fires; surviving that, [on_chunk] (if given) is called with
-    the chunk index — the distributed worker uses it to inject
-    mid-shard deaths at chunk granularity.
+    when it fires.
     @raise Invalid_argument if [chunk_size <= 0], [n < 0], or [eval]
     returns the wrong number of costs *)
 val run :
-  ?on_chunk:(int -> unit) ->
   path:string ->
   key:string ->
   chunk_size:int ->

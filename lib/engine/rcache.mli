@@ -64,12 +64,10 @@ type absorb_stats = Dlog.absorb_stats = {
 }
 
 (** [absorb t donor_dir] imports the result log persisted under
-    [donor_dir] into [t] — the merge primitive of distributed sweeps,
-    where every worker evaluates into its own cache directory and the
-    coordinator folds the per-worker logs into the primary store.
-    Keys already in [t]'s resident set are skipped (results are
-    content-addressed and deterministic, so a collision carries the
-    same measurement); see {!Dlog.absorb}.
+    [donor_dir] into [t], such as a cache another process filled in
+    its own directory.  Keys already in [t]'s resident set are skipped
+    (results are content-addressed and deterministic, so a collision
+    carries the same measurement); see {!Dlog.absorb}.
     @raise Cache_error if the donor is locked by a running process,
     unreadable, or not a result cache *)
 val absorb : t -> string -> absorb_stats

@@ -212,11 +212,10 @@ let of_string (s : string) : t =
       rest;
     t
 
-let save (t : t) (path : string) : unit =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
+(* the text is built before the file is touched, and lands through a
+   temporary file renamed over [path]: a save that raises or is killed
+   leaves the old knowledge base whole *)
+let save (t : t) (path : string) : unit = Obs.Json.write_file path (to_string t)
 
 let load (path : string) : t =
   let ic = open_in path in

@@ -70,6 +70,10 @@ val to_string : t -> string
 (** @raise Parse_error on malformed input *)
 val of_string : string -> t
 
+(** writes [path ^ ".tmp"] and renames it over [path], so a save that
+    raises (a name holding ['|'], [','] or a newline raises
+    {!Parse_error}) or is killed leaves any previous file whole.
+    @raise Sys_error on IO failure *)
 val save : t -> string -> unit
 
 (** @raise Parse_error on malformed input, [Sys_error] on IO failure *)

@@ -82,11 +82,6 @@ let to_line v =
   add_inline ~spaced:false b v;
   Buffer.contents b
 
-let member kv =
-  let b = Buffer.create 64 in
-  add_member ~spaced:true b kv;
-  Buffer.contents b
-
 let to_doc v =
   let b = Buffer.create 1024 in
   let doc_member = function

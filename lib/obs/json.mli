@@ -1,6 +1,6 @@
 (** JSON: the one module that writes and reads the system's JSON
-    documents (trace events, metrics JSONL, run manifests, rollups,
-    bench reports, bench verdicts).  Stdlib only.
+    documents (trace events, metrics JSONL, bench reports, bench
+    verdicts).  Stdlib only.
 
     A number keeps its literal text, so a document written here parses
     back to a value that prints the same bytes; writers build numbers
@@ -41,9 +41,6 @@ val to_line : t -> string
     objects or lists, prints one element per line; everything else
     prints inline with [", "] and [": "]. *)
 val to_doc : t -> string
-
-(** [member (k, v)]: one inline member as {!to_doc} prints it *)
-val member : string * t -> string
 
 (** {1 Parsing} *)
 

@@ -110,9 +110,8 @@ let bucket_upper i =
   if i = 0 then lo_bound
   else lo_bound *. Float.pow 2.0 (float_of_int i)
 
-(* the quantile math over raw components, so merged bucket arrays (from
-   several processes' exports) can be queried without a live handle *)
-let quantile_of ~counts ~n ~mn ~mx q =
+let quantile h q =
+  let counts = h.counts and n = h.n and mn = h.mn and mx = h.mx in
   if n = 0 then nan
   else if q <= 0.0 then mn
   else if q >= 1.0 then mx
@@ -133,8 +132,6 @@ let quantile_of ~counts ~n ~mn ~mx q =
       let frac = (rank -. !cum) /. in_bucket in
       Float.max mn (Float.min mx (lower +. ((upper -. lower) *. frac)))
   end
-
-let quantile h q = quantile_of ~counts:h.counts ~n:h.n ~mn:h.mn ~mx:h.mx q
 
 (* ------------------------------------------------------------------ *)
 (* export *)
@@ -196,16 +193,13 @@ let metric_to_json m =
         ("p90", num (quantile h 0.9)); ("p99", num (quantile h 0.99));
         ("buckets", List buckets) ]
 
-(* the interesting metrics of [tbl] as records, sorted by name *)
-let records tbl =
+let to_jsonl () =
   Hashtbl.fold
     (fun name m acc -> if interesting m then (name, m) :: acc else acc)
-    tbl []
+    registry []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-  |> List.map (fun (_, m) -> metric_to_json m)
-
-let jsonl rs = String.concat "" (List.map (fun r -> Json.to_line r ^ "\n") rs)
-let to_jsonl () = jsonl (records registry)
+  |> List.map (fun (_, m) -> Json.to_line (metric_to_json m) ^ "\n")
+  |> String.concat ""
 
 let reset () =
   Hashtbl.iter
@@ -222,61 +216,3 @@ let reset () =
         h.mn <- infinity;
         h.mx <- neg_infinity)
     registry
-
-(* ------------------------------------------------------------------ *)
-(* merging exports from several processes *)
-
-(* one exported record back as a metric; raises [Json.Error] unless the
-   record is complete, so a torn or foreign line is skipped whole *)
-let metric_of_json r =
-  let name = Json.to_str (Json.field "name" r) in
-  let num k = Json.to_float (Json.field k r) in
-  let int k = Json.to_int (Json.field k r) in
-  match Json.to_str (Json.field "type" r) with
-  | "counter" -> C { cname = name; c = int "value" }
-  | "gauge" -> G { gname = name; g = num "value"; gtouched = true }
-  | "histogram" ->
-    let counts = Array.make (n_buckets + 2) 0 in
-    List.iter
-      (fun pair ->
-        match List.map Json.to_int (Json.to_list pair) with
-        | [ i; n ] when i >= 0 && i < Array.length counts ->
-          counts.(i) <- counts.(i) + n
-        | _ -> raise (Json.Error "bad bucket"))
-      (Json.to_list (Json.field "buckets" r));
-    H
-      { hname = name; hunit = Json.to_str (Json.field "unit" r); counts;
-        sum = num "sum"; n = int "count"; mn = num "min"; mx = num "max" }
-  | ty -> raise (Json.Error ("unknown metric type " ^ ty))
-
-let merge_metric tbl m =
-  let name = match m with C c -> c.cname | G g -> g.gname | H h -> h.hname in
-  match (Hashtbl.find_opt tbl name, m) with
-  | None, _ -> Hashtbl.replace tbl name m
-  | Some (C c), C d -> c.c <- c.c + d.c
-  | Some (G g), G d ->
-    (* gauges are levels (queue depth, workers alive): across processes
-       the max is the honest summary; summing would double-count *)
-    if d.g > g.g then g.g <- d.g
-  | Some (H h), H d ->
-    Array.iteri (fun i c -> h.counts.(i) <- h.counts.(i) + c) d.counts;
-    h.sum <- h.sum +. d.sum;
-    h.n <- h.n + d.n;
-    if d.mn < h.mn then h.mn <- d.mn;
-    if d.mx > h.mx then h.mx <- d.mx
-  | Some _, _ -> ()
-
-let merge_records docs =
-  let tbl : (string, metric) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun doc ->
-      String.split_on_char '\n' doc
-      |> List.iter (fun line ->
-             if String.trim line <> "" then
-               match metric_of_json (Json.parse line) with
-               | m -> merge_metric tbl m
-               | exception Json.Error _ -> ()))
-    docs;
-  records tbl
-
-let merge_jsonl docs = jsonl (merge_records docs)

@@ -45,12 +45,6 @@ val hist_sum : histogram -> float
 (** [quantile h q] for q in [0,1]; [nan] on an empty histogram *)
 val quantile : histogram -> float -> float
 
-(** the same quantile math over raw components ([counts] of length
-    [n_buckets + 2]); lets merged bucket arrays be queried without a
-    registered handle *)
-val quantile_of :
-  counts:int array -> n:int -> mn:float -> mx:float -> float -> float
-
 (** bucket index of a value (0 = underflow, 65 = overflow); exposed for
     the unit tests of the bucket math *)
 val bucket_of_value : float -> int
@@ -65,20 +59,6 @@ val snapshot : unit -> (string * string) list
 val pp_table : Format.formatter -> unit -> unit
 
 val to_jsonl : unit -> string
-
-(** [merge_jsonl docs] merges several processes' {!to_jsonl} exports into
-    one JSONL document (sorted by name): counters add, gauges keep the
-    max (they are levels — queue depth, workers alive — so summing would
-    double-count), histograms merge their bucket arrays pointwise with
-    count/sum/min/max combined exactly and quantiles recomputed from the
-    merged buckets.  The merged quantiles obey the same 2× bucket-ratio
-    bound as a single registry observing the concatenated samples.
-    A line that does not parse whole as one of our records is skipped
-    whole.  The registry is not touched. *)
-val merge_jsonl : string list -> string
-
-(** the records {!merge_jsonl} prints, one per metric, sorted by name *)
-val merge_records : string list -> Json.t list
 
 (** zero every registered metric, keeping handles valid (tests) *)
 val reset : unit -> unit

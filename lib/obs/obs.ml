@@ -13,8 +13,6 @@ module Clock = Clock
 module Json = Json
 module Trace = Trace
 module Metrics = Metrics
-module Merge = Merge
-module Rollup = Rollup
 
 (* [span ~cat ?hist name f]: a trace span around [f] when tracing is
    enabled, and/or a duration sample (milliseconds) into [hist] when

@@ -48,11 +48,9 @@ let pid = ref 0
 let stack : (string * string) list ref = ref [] (* (name, cat) of open spans *)
 let bad_ends = ref 0
 let streamed = ref 0 (* events written to the current stream sink *)
-let run = ref None (* the correlated run id, once a coordinator minted one *)
 
 let enabled () = !on
 let set_pid p = pid := p
-let run_id () = !run
 let open_spans () = List.length !stack
 let unbalanced_ends () = !bad_ends
 
@@ -171,24 +169,6 @@ let counter ?cat name series =
   if !on then
     push (mk ?cat ~args:(List.map (fun (k, v) -> (k, Float v)) series) C name)
 
-(* the trace.run instant is the correlation anchor: every process of a
-   distributed run emits one into its own trace file, carrying the
-   shared run id plus this process's trace epoch (absolute clock time),
-   so a merger can both verify the files belong together and rebase
-   their relative timestamps onto one timeline *)
-let announce_run () =
-  match !run with
-  | Some id when !on ->
-    push
-      (mk ~cat:"meta"
-         ~args:[ ("id", Str id); ("epoch_s", Float !epoch) ]
-         I "trace.run")
-  | _ -> ()
-
-let set_run id =
-  run := Some id;
-  announce_run ()
-
 (* ------------------------------------------------------------------ *)
 (* memory-sink access, draining, forwarding *)
 
@@ -219,19 +199,6 @@ let on_fork ~pid:p =
     sink := Memory { buf = Array.make 16384 dummy_event; next = 0; dropped = 0 };
     reset_side_state ();
     pid := p
-  end
-
-let stream_after_fork ~pid:p oc =
-  if !on then begin
-    output_string oc "[\n";
-    flush oc;
-    sink := Stream oc;
-    reset_side_state ();
-    pid := p;
-    (* deliberately NOT resetting [epoch]: the child keeps the parent's
-       time origin so its timestamps stay directly comparable in a
-       merged run-level trace *)
-    announce_run ()
   end
 
 (* ------------------------------------------------------------------ *)

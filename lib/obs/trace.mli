@@ -60,17 +60,6 @@ val finish : unit -> unit
     real one since this library cannot ask the OS for it) *)
 val set_pid : int -> unit
 
-(** [set_run id] records the correlated run id for this process and, if
-    tracing is enabled, emits a ["trace.run"] instant (cat ["meta"]) whose
-    args carry the id and this process's trace epoch as absolute seconds
-    (["epoch_s"]).  A run-level merger uses the shared id to confirm the
-    files belong together and the epochs to rebase each file's relative
-    timestamps onto one timeline. *)
-val set_run : string -> unit
-
-(** the run id recorded by {!set_run}, if any *)
-val run_id : unit -> string option
-
 val begin_span : ?cat:string -> ?args:(string * arg) list -> string -> unit
 
 (** ends the innermost open span.  An [end_span] with no span open is
@@ -100,14 +89,6 @@ val dropped_events : unit -> int
     never writes the parent's stream) and stamp subsequent events with
     [pid] *)
 val on_fork : pid:int -> unit
-
-(** worker side, after fork, when the child should write its {e own}
-    trace file rather than forward events: switch to a stream sink on
-    [oc] (writing the opening ["["]), stamp subsequent events with [pid],
-    and re-announce the run id if one is set.  Unlike {!enable_stream}
-    the trace epoch is preserved, so the child's timestamps remain on the
-    parent's timeline and a merged trace needs no rebasing. *)
-val stream_after_fork : pid:int -> out_channel -> unit
 
 (** take and clear the events accumulated since the last drain *)
 val drain : unit -> event array

@@ -285,9 +285,10 @@ let test_journal_scrub_atomic () =
                (Array.to_list (fake_costs (4 * c) (min 14 (4 * c + 4)))))))
   in
   let torn = chunk 2 in
+  (* the header key is the caller's key folded with the chunking *)
   write_file path
     (Printf.sprintf "mira-journal 2|%s|4\n"
-       (Journal.derived_key ~key:"k" ~chunk_size:4 ~n:14)
+       (Digest.to_hex (Digest.string "k\x004\x0014"))
     ^ chunk 0 ^ chunk 1
     ^ String.sub torn 0 (String.length torn / 2));
   let before = read_file path in

@@ -102,6 +102,25 @@ let test_file_roundtrip () =
       Alcotest.(check string) "file round trip" (Kb.to_string kb)
         (Kb.to_string kb'))
 
+(* a save that raises (here on a name the format cannot hold) must not
+   touch the knowledge base already at its path *)
+let test_failed_save_keeps_old () =
+  let kb = sample_kb () in
+  let path = Filename.temp_file "kbtest" ".kb" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Kb.save kb path;
+      let bad = sample_kb () in
+      Kb.add_experiment bad (mk_exp "bad|name" [ Pass.Dce ] 10);
+      (match Kb.save bad path with
+       | () -> Alcotest.fail "saved a name holding '|'"
+       | exception Kb.Parse_error _ -> ());
+      Alcotest.(check string) "old knowledge base intact" (Kb.to_string kb)
+        (Kb.to_string (Kb.load path));
+      Alcotest.(check bool) "no temporary file left" false
+        (Sys.file_exists (path ^ ".tmp")))
+
 let test_parse_errors () =
   let bad s =
     match Kb.of_string s with
@@ -147,6 +166,7 @@ let suite =
         t "string roundtrip" test_roundtrip;
         t "file roundtrip" test_file_roundtrip;
         t "parse errors" test_parse_errors;
+        t "failed save keeps the old file" test_failed_save_keeps_old;
       ] );
     ( "properties",
       List.map QCheck_alcotest.to_alcotest [ prop_roundtrip_random ] );

@@ -95,108 +95,6 @@ let test_table_deterministic () =
     "metrics (none recorded)\n"
     (Format.asprintf "%a" Metrics.pp_table ())
 
-(* Cross-process merge: the documented contract is that merging two
-   registries' JSONL exports is indistinguishable from one registry
-   that observed the concatenation (gauges excepted: they keep the
-   max).  Buckets are combined pointwise and count/sum/min/max exactly,
-   so for histograms the equivalence is byte-for-byte. *)
-let test_merge_equals_concat () =
-  let populate obs =
-    Metrics.reset ();
-    Metrics.incr ~by:(List.length obs) (Metrics.counter "t.m.count");
-    let h = Metrics.histogram "t.m.h" in
-    List.iter (Metrics.observe h) obs;
-    Metrics.to_jsonl ()
-  in
-  let a = [ 0.5; 3.0; 7.0; 42.0 ] in
-  let b = [ 1.5; 90.0; 0.002; 7.0; 512.0 ] in
-  let doc_a = populate a in
-  let doc_b = populate b in
-  let doc_all = populate (a @ b) in
-  Metrics.reset ();
-  Alcotest.(check string) "merge of two exports = export of concatenation"
-    doc_all
-    (Metrics.merge_jsonl [ doc_a; doc_b ])
-
-let test_merge_kinds () =
-  let export f =
-    Metrics.reset ();
-    f ();
-    Metrics.to_jsonl ()
-  in
-  let doc_a =
-    export (fun () ->
-        Metrics.incr ~by:3 (Metrics.counter "t.mk.c");
-        Metrics.set (Metrics.gauge "t.mk.g") 7.0;
-        Metrics.incr (Metrics.counter "t.mk.only_a"))
-  in
-  let doc_b =
-    export (fun () ->
-        Metrics.incr ~by:4 (Metrics.counter "t.mk.c");
-        Metrics.set (Metrics.gauge "t.mk.g") 2.0)
-  in
-  Metrics.reset ();
-  Alcotest.(check string)
-    "counters add, gauges keep max, singletons survive, sorted"
-    "{\"type\":\"counter\",\"name\":\"t.mk.c\",\"value\":7}\n\
-     {\"type\":\"gauge\",\"name\":\"t.mk.g\",\"value\":7}\n\
-     {\"type\":\"counter\",\"name\":\"t.mk.only_a\",\"value\":1}\n"
-    (Metrics.merge_jsonl [ doc_a; doc_b ]);
-  (* torn / foreign lines are skipped, not fatal *)
-  Alcotest.(check string) "garbage lines are skipped" doc_a
-    (Metrics.merge_jsonl [ "not json\n" ^ doc_a; "{\"type\":\"count" ]);
-  (* ... and skipped whole: no strict prefix of a real counter or
-     histogram record merges as a number *)
-  let doc_t =
-    export (fun () ->
-        Metrics.incr ~by:24 (Metrics.counter "t.mk.torn_c");
-        List.iter
-          (Metrics.observe (Metrics.histogram "t.mk.torn_h"))
-          [ 1.0; 3.0; 3.5; 40.0; 4096.0 ])
-  in
-  Metrics.reset ();
-  String.split_on_char '\n' doc_t
-  |> List.iter (fun line ->
-         for k = 0 to String.length line - 1 do
-           let p = String.sub line 0 k in
-           if Metrics.merge_jsonl [ doc_a; p ] <> doc_a then
-             Alcotest.failf "torn line %S was merged" p
-         done)
-
-(* merged quantiles obey the same 2x bucket-ratio bound as a single
-   registry over the concatenated samples *)
-let test_merge_quantile_bound () =
-  let export obs =
-    Metrics.reset ();
-    let h = Metrics.histogram "t.mq.h" in
-    List.iter (Metrics.observe h) obs;
-    Metrics.to_jsonl ()
-  in
-  let a = List.init 60 (fun i -> float_of_int (i + 1)) in
-  let b = List.init 40 (fun i -> float_of_int ((i + 1) * 17)) in
-  let doc_a = export a in
-  let doc_b = export b in
-  Metrics.reset ();
-  let merged = Metrics.merge_jsonl [ doc_a; doc_b ] in
-  let all = List.sort compare (a @ b) in
-  let truth q =
-    List.nth all
-      (max 0
-         (min (List.length all - 1)
-            (int_of_float (Float.round (q *. float_of_int (List.length all - 1))))))
-  in
-  List.iter
-    (fun (label, q) ->
-      let v =
-        match Obs.Json.(mem label (parse merged)) with
-        | Some v -> Obs.Json.to_float v
-        | None -> Alcotest.failf "merged export lacks %s" label
-      in
-      let t = truth q in
-      if v < t /. 2.0 || v > t *. 2.0 then
-        Alcotest.failf "merged %s = %g not within 2x of %g" label v t)
-    [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
-
 (* ------------------------------------------------------------------ *)
 (* Trace *)
 
@@ -397,40 +295,6 @@ let test_json_round_trips () =
     (fun l ->
       if l <> "" then check_round_trip ~print:Json.to_line "metric line" l)
     (empty_h :: String.split_on_char '\n' export);
-  let path = Filename.temp_file "obs-json" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      List.iter
-        (fun n ->
-          Engine.Shard.write_manifest ~path ~run:nasty ~job:"j" ~n
-            ~chunk_size:3 ~meta:[ ("program", "a b.mira") ]
-            (Engine.Shard.plan ~n ~shards:4);
-          check_round_trip ~print:Json.to_doc "manifest" (Json.read_file path))
-        [ 10; 0 ]);
-  check_round_trip ~print:Json.to_doc "rollup"
-    (Obs.Rollup.to_json
-       {
-         Obs.Rollup.run = "r";
-         job = nasty;
-         n = 10;
-         chunk_size = 3;
-         elapsed_s = 1.5;
-         workers_seen = 2;
-         shards_served = 4;
-         steals = 1;
-         requeues = 0;
-         worker_deaths = 0;
-         respawns = 0;
-         serial_fallbacks = 0;
-         absorbed = 7;
-         absorb_duplicates = 0;
-         absorb_rejected = 0;
-         shards =
-           [ { Obs.Rollup.shard = 0; worker = "w0"; chunks_total = 2;
-               chunks_done = 1; torn = 1; secs = 0.125 } ];
-         metrics_docs = [ export; empty_h ];
-       });
   check_round_trip ~print:Json.to_doc "bench report"
     {|{
   "schema": "icc-bench-arch/2",
@@ -554,11 +418,6 @@ let () =
           Alcotest.test_case "kinds" `Quick test_kinds;
           Alcotest.test_case "deterministic table" `Quick
             test_table_deterministic;
-          Alcotest.test_case "merge = concatenated registry" `Quick
-            test_merge_equals_concat;
-          Alcotest.test_case "merge kinds" `Quick test_merge_kinds;
-          Alcotest.test_case "merged quantile bound" `Quick
-            test_merge_quantile_bound;
         ] );
       ( "trace",
         [

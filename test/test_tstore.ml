@@ -1,6 +1,6 @@
 (* The persistent trace store: codec round-trips (bit-exact, compact),
    cross-process persistence (add / close / reopen / find), torn-write
-   quarantine and self-healing, absorb for distributed sweeps, the
+   quarantine and self-healing, absorb of another process's store, the
    write-through tier under Tcache, and Engine.Grid's pricing: bit-identical
    to the serial grid, in the calling process, with no worker forked. *)
 
@@ -454,7 +454,7 @@ let test_torn_write_quarantine () =
   | None -> Alcotest.fail "re-added entry lost"
 
 (* ------------------------------------------------------------------ *)
-(* absorb: the distributed-sweep merge *)
+(* absorb: merging a store another process filled *)
 
 let test_absorb () =
   let dir = tmp_dir "tstore-main" and wdir = tmp_dir "tstore-worker" in
