@@ -468,9 +468,13 @@ let predict_cmd =
     let p = load_program file in
     let config = arch_of_name arch in
     let kb = kb_io (fun () -> Knowledge.Kb.load kb_path) in
+    (* one engine for the decision and both cycle counts: the counter
+       model's -O0 profile is the baseline, and an online trial of the
+       chosen sequence is its cycle count *)
+    let eng = Engine.create config in
     let compiled =
       if use_counters then
-        Icc.Controller.one_shot_counters ~config ~trials kb p
+        Icc.Controller.one_shot_counters ~engine:eng ~trials kb p
       else Icc.Controller.one_shot ~config kb p
     in
     let d = compiled.Icc.Controller.decision in
@@ -479,10 +483,9 @@ let predict_cmd =
     Fmt.pr "based on: %s@."
       (String.concat ", " d.Icc.Controller.predicted_from);
     Fmt.pr "target-system runs spent: %d@." d.Icc.Controller.evaluations;
-    let c0 = Icc.Characterize.eval_sequence ~config p [] in
-    let c1 =
-      Icc.Characterize.eval_sequence ~config p d.Icc.Controller.sequence
-    in
+    let cost = Engine.evaluator eng p in
+    let c0 = cost [] in
+    let c1 = cost d.Icc.Controller.sequence in
     Fmt.pr "cycles: %.0f -> %.0f (speedup %.2fx)@." c0 c1 (c0 /. c1)
   in
   let counters_flag =

@@ -10,7 +10,14 @@ module Ir = Mira.Ir
      profiling run, predict from the counter characterization.
    - [iterative]: fit a focused sequence model from the knowledge base and
      spend an evaluation budget searching; converges to the best sequence
-     found.  This is the "iterate until the selection converges" mode. *)
+     found.  This is the "iterate until the selection converges" mode.
+
+   Given an engine, the controller reuses what the engine holds: the -O0
+   profile is the engine's evaluation of the empty sequence (a cache hit
+   when the program was profiled before), and a chosen sequence the
+   engine evaluated compiles through its trie, where every prefix is
+   already materialized.  A sequence the engine never evaluated compiles
+   directly, so no engine keeps IRs alive for it. *)
 
 module Kb = Knowledge.Kb
 
@@ -24,6 +31,27 @@ type compiled = {
   program : Ir.program;
   decision : decision;
 }
+
+(* the -O0 counter bank of the profiling run; a failed engine outcome (a
+   trap or fuel exhaustion, cached as a failure) is run again directly,
+   so it raises exactly as the direct path does *)
+let profile ?engine ~config p =
+  let direct () = (Mach.Sim.run ~config p).Mach.Sim.counters in
+  match engine with
+  | None -> direct ()
+  | Some eng -> (
+    match (Engine.eval eng p []).Engine.counters with
+    | Some bank -> bank
+    | None -> direct ())
+
+(* compile a sequence the engine evaluated, whose every prefix its trie
+   already holds; without sharing there is no trie *)
+let compile_evaluated ?engine seq p =
+  match Option.bind engine Engine.trie with
+  | Some trie ->
+    fst
+      (Engine.Pctrie.apply_sequence trie p ~digest:(Engine.ir_digest p) seq)
+  | None -> Passes.Pass.apply_sequence seq p
 
 (* --- one-shot from static features ------------------------------- *)
 
@@ -63,8 +91,7 @@ let one_shot_counters ?engine ?(config = Mach.Config.default) ?(trials = 1)
         { sequence = Passes.Pass.o2; predicted_from = []; evaluations = 0 };
     }
   | Some model ->
-    let r = Mach.Sim.run ~config p in
-    let counters = Characterize.counter_assoc r.Mach.Sim.counters in
+    let counters = Characterize.counter_assoc (profile ?engine ~config p) in
     let sequence, evals =
       if trials <= 1 then (Pcmodel.predict model counters, 0)
       else begin
@@ -81,7 +108,9 @@ let one_shot_counters ?engine ?(config = Mach.Config.default) ?(trials = 1)
       |> List.map (fun (prog, _, _) -> prog)
     in
     {
-      program = Passes.Pass.apply_sequence sequence p;
+      program =
+        (if evals > 0 then compile_evaluated ?engine sequence p
+         else Passes.Pass.apply_sequence sequence p);
       decision = { sequence; predicted_from; evaluations = 1 + evals };
     }
 
@@ -107,7 +136,8 @@ let iterative ?engine ?(config = Mach.Config.default) ?(seed = 1)
       ~n:params.Search.Focused.neighbors
   in
   ( {
-      program = Passes.Pass.apply_sequence result.Search.Strategies.best_seq p;
+      program =
+        compile_evaluated ?engine result.Search.Strategies.best_seq p;
       decision =
         {
           sequence = result.Search.Strategies.best_seq;

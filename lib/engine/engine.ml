@@ -81,15 +81,6 @@ let stats t = t.stats
 let share t = Option.is_some t.trie
 let trie t = t.trie
 
-let reset_stats t =
-  let s = t.stats in
-  s.evals <- 0;
-  s.hits <- 0;
-  s.sims <- 0;
-  s.dedup_hits <- 0;
-  s.failures <- 0;
-  s.wall <- 0.0
-
 let hit_rate t =
   if t.stats.evals = 0 then 0.0
   else float_of_int t.stats.hits /. float_of_int t.stats.evals

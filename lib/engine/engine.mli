@@ -132,7 +132,6 @@ val costs : t -> Mira.Ir.program -> Passes.Pass.t list list -> float array
 val evaluator : t -> Mira.Ir.program -> Passes.Pass.t list -> float
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 (** Everything the run survived rather than died of: worker respawns and
     fork failures, crashed/hung workers, poisoned tasks, degradations to

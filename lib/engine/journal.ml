@@ -115,7 +115,6 @@ let record t idx costs =
 
 let quarantined t = Dlog.quarantined t.log
 let close t = Dlog.close t.log
-let remove path = if Sys.file_exists path then Sys.remove path
 
 let run ~path ~key ~chunk_size ~n eval =
   if chunk_size <= 0 then invalid_arg "Journal.run: chunk_size must be > 0";

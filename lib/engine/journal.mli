@@ -37,9 +37,6 @@ val quarantined : t -> int
 
 val close : t -> unit
 
-(** delete a journal file (e.g. to force a fresh sweep); missing is fine *)
-val remove : string -> unit
-
 (** [run ~path ~key ~chunk_size ~n eval] — the checkpointed sweep
     driver.  Computes [eval lo hi] (costs of items [lo..hi-1], in
     order) for every chunk not already journaled under [key] at [path],

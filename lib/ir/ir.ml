@@ -85,8 +85,6 @@ let find_block f l =
   | Some b -> b
   | None -> invalid_arg (Printf.sprintf "Ir.find_block: no block %d in %s" l f.name)
 
-let set_block f l b = { f with blocks = LMap.add l b f.blocks }
-
 let fresh_reg f = ({ f with nregs = f.nregs + 1 }, f.nregs)
 
 let fresh_label f = ({ f with nlabels = f.nlabels + 1 }, f.nlabels)
@@ -157,24 +155,6 @@ let map_term ~fo ~fl = function
   | Jmp l -> Jmp (fl l)
   | Br (c, t, e) -> Br (fo c, fl t, fl e)
   | Ret r -> Ret (Option.map fo r)
-
-let has_side_effect = function
-  | Call _ | Print _ | Store _ -> true
-  (* Div/Rem can trap on zero; Load can trap on out-of-bounds.  They are
-     side-effect free for reordering *within* straight-line code but must
-     not be deleted if their value is used; DCE may delete them only when
-     the result is dead AND the operation provably cannot trap.  We take
-     the conservative stance: traps are observable, so Div/Rem/Load with a
-     dead result are removable only when provably safe (see Passes.Dce). *)
-  | _ -> false
-
-let can_trap = function
-  | Bin ((Div | Rem), _, _, Cint 0) -> true
-  | Bin ((Div | Rem), _, _, (Cint _ | Cfloat _ | Cbool _)) -> false
-  | Bin ((Div | Rem), _, _, _) -> true
-  | Load _ | Store _ -> true   (* bounds *)
-  | Call _ -> true
-  | _ -> false
 
 (* Number of static instructions, a proxy for code size (used by the
    code-size experiments, cf. Cooper et al.). *)

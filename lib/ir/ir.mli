@@ -91,7 +91,6 @@ val block : ?instrs:instr list -> term -> block
 (** @raise Invalid_argument when the label does not exist *)
 val find_block : func -> label -> block
 
-val set_block : func -> label -> block -> func
 val fresh_reg : func -> func * reg
 val fresh_label : func -> func * label
 
@@ -123,12 +122,6 @@ val successors : term -> label list
 val map_instr : fo:(operand -> operand) -> fd:(reg -> reg) -> instr -> instr
 
 val map_term : fo:(operand -> operand) -> fl:(label -> label) -> term -> term
-
-(** calls, prints and stores *)
-val has_side_effect : instr -> bool
-
-(** conservatively, may the instruction trap at run time? *)
-val can_trap : instr -> bool
 
 (** static instruction count + one per terminator: the code-size metric *)
 val func_size : func -> int

@@ -203,9 +203,3 @@ let access (t : t) ~(addr : int) ~(write : bool) : outcome =
   | r when r = hit -> { hit = true; writeback = None }
   | r when r = miss -> { hit = false; writeback = None }
   | wb -> { hit = false; writeback = Some wb }
-
-(* standard configurations *)
-let kib n = n * 1024
-
-let l1_default = { size_bytes = kib 16; assoc = 2; line_bytes = 64 }
-let l2_default = { size_bytes = kib 256; assoc = 8; line_bytes = 64 }

@@ -72,9 +72,3 @@ val access_fast : t -> addr:int -> write:bool -> int
     inline); such a caller must bump [accesses]/[clock] itself exactly
     as {!access_fast} does before scanning. *)
 val fill : t -> set:int -> tag:int -> write:bool -> int
-
-(** [kib n] is [n * 1024] *)
-val kib : int -> int
-
-val l1_default : config
-val l2_default : config

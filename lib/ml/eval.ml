@@ -1,4 +1,4 @@
-(* Model evaluation: accuracy, confusion matrices, k-fold and leave-one-out
+(* Model evaluation: accuracy, confusion matrices and leave-one-out
    cross-validation (the paper's recommended protocol, Sec. II-A).  All
    evaluators are generic over a trainer function so every classifier in
    the kit plugs in uniformly. *)
@@ -42,22 +42,3 @@ let loocv (train : trainer) (d : Dataset.t) : float =
     if predict x = y then incr correct
   done;
   float_of_int !correct /. float_of_int n
-
-let kfold_cv ?(seed = 42) (train : trainer) (d : Dataset.t) ~k : float =
-  let folds = Dataset.kfolds ~seed d k in
-  let accs =
-    List.map
-      (fun (tr, te) ->
-        let predict = train tr in
-        accuracy predict te)
-      folds
-  in
-  List.fold_left ( +. ) 0.0 accs /. float_of_int (List.length accs)
-
-let pp_confusion ppf (m : int array array) =
-  Array.iteri
-    (fun i row ->
-      Fmt.pf ppf "true %d |" i;
-      Array.iter (fun c -> Fmt.pf ppf " %4d" c) row;
-      Fmt.pf ppf "@\n")
-    m

@@ -1,5 +1,5 @@
-(** Model evaluation: accuracy, confusion matrices, and the
-    cross-validation protocols the paper's methodology recommends.
+(** Model evaluation: accuracy, confusion matrices, and the leave-one-out
+    cross-validation the paper's methodology recommends.
     Generic over a trainer function so every classifier plugs in. *)
 
 type classifier = float array -> int
@@ -14,8 +14,3 @@ val confusion : classifier -> Dataset.t -> int array array
 (** leave-one-out cross-validated accuracy (paper Sec. II-A).
     @raise Invalid_argument with fewer than two points *)
 val loocv : trainer -> Dataset.t -> float
-
-(** mean accuracy over [k] shuffled folds *)
-val kfold_cv : ?seed:int -> trainer -> Dataset.t -> k:int -> float
-
-val pp_confusion : Format.formatter -> int array array -> unit

@@ -84,12 +84,3 @@ let fit ?(seed = 7) ?(max_iter = 100) ~k (xs : float array array) : t =
   { centroids }
 
 let predict (t : t) x = assign t.centroids x
-
-(* total within-cluster sum of squared distances *)
-let inertia (t : t) (xs : float array array) : float =
-  Array.fold_left
-    (fun acc x ->
-      let c = t.centroids.(assign t.centroids x) in
-      let d = Linalg.euclidean x c in
-      acc +. (d *. d))
-    0.0 xs

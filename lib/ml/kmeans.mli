@@ -8,6 +8,3 @@ val fit : ?seed:int -> ?max_iter:int -> k:int -> float array array -> t
 
 (** index of the nearest centroid *)
 val predict : t -> float array -> int
-
-(** total within-cluster sum of squared distances *)
-val inertia : t -> float array array -> float

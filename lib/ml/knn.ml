@@ -1,5 +1,5 @@
-(* k-nearest-neighbour classification and regression with optional inverse
-   distance weighting — the "correlate the new program with previous
+(* k-nearest-neighbour classification with optional inverse distance
+   weighting — the "correlate the new program with previous
    knowledge" workhorse of the intelligent compiler (nearest programs in
    feature space contribute their known-good optimizations). *)
 
@@ -46,32 +46,3 @@ let predict_proba (t : t) (x : float array) : float array =
   let votes = class_scores t x in
   let total = Array.fold_left ( +. ) 0.0 votes in
   if total <= 0.0 then votes else Array.map (fun v -> v /. total) votes
-
-(* regression over float targets with the same neighbourhood logic *)
-type regressor = {
-  rxs : float array array;
-  rys : float array;
-  rk : int;
-  rweighted : bool;
-}
-
-let fit_regressor ?(k = 3) ?(weighted = true) xs ys : regressor =
-  if Array.length xs = 0 || Array.length xs <> Array.length ys then
-    invalid_arg "Knn.fit_regressor: bad data";
-  { rxs = xs; rys = ys; rk = k; rweighted = weighted }
-
-let predict_value (r : regressor) (x : float array) : float =
-  let dists = Array.mapi (fun i xi -> (i, Linalg.euclidean x xi)) r.rxs in
-  Array.sort
-    (fun (i1, d1) (i2, d2) ->
-      match compare d1 d2 with 0 -> compare i1 i2 | c -> c)
-    dists;
-  let k = min r.rk (Array.length dists) in
-  let num = ref 0.0 and den = ref 0.0 in
-  for i = 0 to k - 1 do
-    let idx, d = dists.(i) in
-    let w = if r.rweighted then 1.0 /. (d +. 1e-9) else 1.0 in
-    num := !num +. (w *. r.rys.(idx));
-    den := !den +. w
-  done;
-  !num /. !den

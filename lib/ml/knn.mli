@@ -1,5 +1,5 @@
-(** k-nearest-neighbour classification and regression with optional
-    inverse-distance weighting.  Deterministic: distance ties break by
+(** k-nearest-neighbour classification with optional inverse-distance
+    weighting.  Deterministic: distance ties break by
     training index. *)
 
 type t = {
@@ -21,15 +21,3 @@ val predict : t -> float array -> int
 
 (** normalized vote shares (sums to 1) *)
 val predict_proba : t -> float array -> float array
-
-type regressor = {
-  rxs : float array array;
-  rys : float array;
-  rk : int;
-  rweighted : bool;
-}
-
-val fit_regressor :
-  ?k:int -> ?weighted:bool -> float array array -> float array -> regressor
-
-val predict_value : regressor -> float array -> float

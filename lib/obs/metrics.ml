@@ -101,7 +101,6 @@ let observe h v =
   if v > h.mx then h.mx <- v
 
 let value c = c.c
-let gauge_value g = g.g
 let hist_count h = h.n
 let hist_sum h = h.sum
 

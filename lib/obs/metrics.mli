@@ -38,7 +38,6 @@ val observe : histogram -> float -> unit
 val timing : bool ref
 
 val value : counter -> int
-val gauge_value : gauge -> float
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
 

@@ -22,15 +22,16 @@ let tiny_float =
         return int(acc) % 100;
       }|}
 
-let tiny_mem =
-  compile
-    {|global g: int[512];
-      fn main() -> int {
-        for i = 0 to 512 { g[i] = i; }
-        var s: int = 0;
-        for i = 0 to 512 { s = s + g[i]; }
-        return s % 997;
-      }|}
+let tiny_mem_src =
+  {|global g: int[512];
+    fn main() -> int {
+      for i = 0 to 512 { g[i] = i; }
+      var s: int = 0;
+      for i = 0 to 512 { s = s + g[i]; }
+      return s % 997;
+    }|}
+
+let tiny_mem = compile tiny_mem_src
 
 let tiny_branchy =
   compile
@@ -221,6 +222,89 @@ let test_iterative_improves () =
   let after = Mira.Interp.observe compiled.Icc.Controller.program in
   Alcotest.(check bool) "behaviour preserved" true
     (Mira.Interp.equal_observation before after)
+
+(* everything of a controller result that must not depend on whether
+   an engine served it *)
+let decision_text (c : Icc.Controller.compiled) =
+  let d = c.Icc.Controller.decision in
+  Printf.sprintf "%s | %s | %d | %s"
+    (Passes.Pass.sequence_to_string d.Icc.Controller.sequence)
+    (String.concat "," d.Icc.Controller.predicted_from)
+    d.Icc.Controller.evaluations
+    (Engine.ir_digest c.Icc.Controller.program)
+
+let test_controller_engine_agnostic () =
+  let kb = Lazy.force small_kb in
+  let modes =
+    [ ("counters", fun engine ->
+          Icc.Controller.one_shot_counters ?engine kb tiny_mem);
+      ("counters with trials", fun engine ->
+          Icc.Controller.one_shot_counters ?engine ~trials:3 kb tiny_mem);
+      ("iterative", fun engine ->
+          fst (Icc.Controller.iterative ?engine ~seed:3 ~budget:8 kb tiny_loop)) ]
+  in
+  List.iter
+    (fun (mode, run) ->
+      let direct = decision_text (run None) in
+      List.iter
+        (fun share ->
+          let eng = Engine.create ~share Mach.Config.default in
+          Alcotest.(check string)
+            (Printf.sprintf "%s, share %b" mode share)
+            direct
+            (decision_text (run (Some eng))))
+        [ true; false ])
+    modes
+
+(* a repeated decision on the same engine, on a fresh copy of the
+   program, is served by the engine: its profile and trials from the
+   result cache, its evaluated choice from the trie *)
+let test_controller_reuses_engine () =
+  let kb = Lazy.force small_kb in
+  let flat_runs = Obs.Metrics.counter "sim.runs.flat" in
+  let applied = Obs.Metrics.counter "passes.applied" in
+  let eng = Engine.create Mach.Config.default in
+  let work () =
+    ( (Engine.stats eng).Engine.sims,
+      Obs.Metrics.value flat_runs,
+      Obs.Metrics.value applied )
+  in
+  let twice name decide =
+    ignore (decide (compile tiny_mem_src));
+    let sims, runs, passes = work () in
+    ignore (decide (compile tiny_mem_src));
+    let sims', runs', passes' = work () in
+    Alcotest.(check int) (name ^ ": engine simulations") sims sims';
+    Alcotest.(check int) (name ^ ": flat runs") runs runs';
+    passes' - passes
+  in
+  ignore
+    (twice "counters" (Icc.Controller.one_shot_counters ~engine:eng kb));
+  Alcotest.(check int) "counters with trials: passes applied" 0
+    (twice "counters with trials"
+       (Icc.Controller.one_shot_counters ~engine:eng ~trials:3 kb));
+  Alcotest.(check int) "iterative: passes applied" 0
+    (twice "iterative" (fun p ->
+         Icc.Controller.iterative ~engine:eng ~seed:3 ~budget:8 kb p))
+
+(* an -O0 profile that traps raises the direct path's trap, also when
+   the engine has cached the failure *)
+let test_controller_profile_trap () =
+  let kb = Lazy.force small_kb in
+  Alcotest.(check bool) "the KB yields a counter model" true
+    (Option.is_some
+       (Icc.Pcmodel.train kb ~arch:Mach.Config.default.Mach.Config.name));
+  let src = {|fn main() -> int { var z: int = 0; return 1 / z; }|} in
+  let trap engine =
+    match Icc.Controller.one_shot_counters ?engine kb (compile src) with
+    | _ -> Alcotest.fail "the -O0 profile did not trap"
+    | exception Mira.Interp.Trap msg -> msg
+  in
+  let direct = trap None in
+  let eng = Some (Engine.create Mach.Config.default) in
+  Alcotest.(check string) "first profile on an engine" direct (trap eng);
+  Alcotest.(check string) "repeated profile on an engine" direct (trap eng);
+  Alcotest.(check string) "repeated direct profile" direct (trap None)
 
 (* ------------------------------------------------------------------ *)
 (* tournament *)
@@ -427,6 +511,10 @@ let suite =
         t "one shot" test_one_shot_behaviour_preserved;
         t "one shot counters" test_one_shot_counters_runs_profile;
         t "iterative" test_iterative_improves;
+        t "same decision with or without an engine"
+          test_controller_engine_agnostic;
+        t "repeated decision reuses the engine" test_controller_reuses_engine;
+        t "trapping profile raises on an engine" test_controller_profile_trap;
       ] );
     ( "tournament",
       [
