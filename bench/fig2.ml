@@ -134,7 +134,7 @@ let fig2b () =
   let kb = Util.kb_for config in
   let eng = Util.engine_for config in
   let target = Workloads.program (Workloads.by_name_exn target_name) in
-  let eval = Icc.Characterize.evaluator ~engine:eng target in
+  let eval = Engine.evaluator eng target in
   let o0 = eval [] in
   let budget = budget () in
   (* RANDOM, averaged over trials (paper: average of 20 trials).  The

@@ -7,6 +7,7 @@
      dune exec bench/main.exe -- fig2b tab3    # a subset
      dune exec bench/main.exe -- --full        # larger sample sizes
      dune exec bench/main.exe -- --list        # list experiment ids
+     dune exec bench/main.exe -- --help        # flags and experiments
 
    The first run builds per-architecture knowledge bases and caches them
    under bench_data/. *)
@@ -31,84 +32,112 @@ let experiments : (string * string * (unit -> unit)) list =
     ("arch", "architecture-grid replay vs per-config simulation", Arch.run);
   ]
 
+(* every flag, with its value's name if it takes one; anything else that
+   starts with '-' is refused *)
+let flag_docs =
+  [ ("-j, --jobs N", "worker processes of the evaluation engine (default 1)");
+    ("--full", "larger sample sizes");
+    ("--list", "list the experiment ids and exit");
+    ("--json", "micro, sweep and arch also write their BENCH_*.json file");
+    ("--no-share", "disable the prefix-sharing trie and simulation dedup");
+    ("--tstore DIR", "arch also runs against a trace store in DIR");
+    ("--inject SPEC", "install a deterministic fault plan (testing)");
+    ("--trace FILE", "stream a Chrome trace to FILE");
+    ("--metrics FILE", "write the metrics as JSONL to FILE at exit");
+    ("--help", "print this help and exit") ]
+
+let list_experiments ~indent =
+  List.iter
+    (fun (id, descr, _) -> Fmt.pr "%s%-6s %s@." indent id descr)
+    experiments
+
+let usage () =
+  Fmt.pr "usage: miracc-bench [FLAG]... [EXPERIMENT]...@.@.flags:@.";
+  List.iter (fun (f, d) -> Fmt.pr "  %-15s %s@." f d) flag_docs;
+  Fmt.pr "@.experiments (all of them when none is named):@.";
+  list_experiments ~indent:"  "
+
+let usage_error fmt =
+  Fmt.kstr (fun msg -> Fmt.epr "%s@." msg; exit 1) fmt
+
+let is_flag a = String.length a > 1 && a.[0] = '-'
+
+let open_trace path =
+  match open_out path with
+  | oc ->
+    Obs.Trace.enable_stream oc;
+    let owner = Unix.getpid () in
+    at_exit (fun () ->
+        if Unix.getpid () = owner then begin
+          Obs.Trace.finish ();
+          close_out_noerr oc
+        end)
+  | exception Sys_error e -> usage_error "cannot open trace file: %s" e
+
+let write_metrics_at_exit path =
+  Obs.Metrics.timing := true;
+  let owner = Unix.getpid () in
+  at_exit (fun () ->
+      if Unix.getpid () = owner then
+        match open_out path with
+        | oc ->
+          output_string oc (Obs.Metrics.to_jsonl ());
+          close_out_noerr oc
+        | exception Sys_error e -> Fmt.epr "cannot write metrics file: %s@." e)
+
 let () =
   Obs.Clock.set Unix.gettimeofday;
   Obs.Trace.set_pid (Unix.getpid ());
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* -j/--jobs N sizes the evaluation engine's worker pool;
-     --inject SPEC installs a deterministic fault plan (testing);
-     --trace/--metrics enable the Obs layer like miracc's flags do *)
-  let rec strip_opts = function
-    | [] -> []
+  (* the whole command line parses before any file is opened or any
+     experiment runs; an unknown flag or a flag missing its value is
+     refused *)
+  let list_only = ref false
+  and plan = ref None
+  and trace = ref None
+  and metrics = ref None in
+  let rec parse names = function
+    | [] -> List.rev names
     | ("-j" | "--jobs") :: n :: rest ->
       (match int_of_string_opt n with
        | Some j when j >= 1 -> Util.jobs := j
-       | _ ->
-         Fmt.epr "-j expects a positive integer@.";
-         exit 1);
-      strip_opts rest
-    | "--json" :: rest ->
-      Util.json_out := true;
-      strip_opts rest
-    | "--no-share" :: rest ->
-      Util.share := false;
-      strip_opts rest
-    | "--tstore" :: dir :: rest ->
+       | _ -> usage_error "-j expects a positive integer");
+      parse names rest
+    | "--full" :: rest -> Util.scale := Util.Full; parse names rest
+    | "--list" :: rest -> list_only := true; parse names rest
+    | "--json" :: rest -> Util.json_out := true; parse names rest
+    | "--no-share" :: rest -> Util.share := false; parse names rest
+    | "--tstore" :: dir :: rest when not (is_flag dir) ->
       Util.tstore := Some dir;
-      strip_opts rest
-    | "--inject" :: spec :: rest ->
+      parse names rest
+    | "--inject" :: spec :: rest when not (is_flag spec) ->
       (match Engine.Faults.parse spec with
-       | Ok plan -> Engine.Faults.install plan
-       | Error e ->
-         Fmt.epr "bad --inject spec: %s@." e;
-         exit 1);
-      strip_opts rest
-    | "--trace" :: path :: rest ->
-      (match open_out path with
-       | oc ->
-         Obs.Trace.enable_stream oc;
-         let owner = Unix.getpid () in
-         at_exit (fun () ->
-             if Unix.getpid () = owner then begin
-               Obs.Trace.finish ();
-               close_out_noerr oc
-             end)
-       | exception Sys_error e ->
-         Fmt.epr "cannot open trace file: %s@." e;
-         exit 1);
-      strip_opts rest
-    | "--metrics" :: path :: rest ->
-      Obs.Metrics.timing := true;
-      let owner = Unix.getpid () in
-      at_exit (fun () ->
-          if Unix.getpid () = owner then
-            match open_out path with
-            | oc ->
-              output_string oc (Obs.Metrics.to_jsonl ());
-              close_out_noerr oc
-            | exception Sys_error e ->
-              Fmt.epr "cannot write metrics file: %s@." e);
-      strip_opts rest
-    | a :: rest -> a :: strip_opts rest
+       | Ok p -> plan := Some p
+       | Error e -> usage_error "bad --inject spec: %s" e);
+      parse names rest
+    | "--trace" :: path :: rest when not (is_flag path) ->
+      trace := Some path;
+      parse names rest
+    | "--metrics" :: path :: rest when not (is_flag path) ->
+      metrics := Some path;
+      parse names rest
+    | "--help" :: _ -> usage (); exit 0
+    | a :: _ when is_flag a -> usage_error "unknown option %s; try --help" a
+    | n :: rest ->
+      if not (List.exists (fun (id, _, _) -> id = n) experiments) then
+        usage_error "unknown experiment %S; try --list" n;
+      parse (n :: names) rest
   in
-  (try Engine.Faults.install_from_env ()
-   with Invalid_argument e ->
-     Fmt.epr "bad MIRA_FAULTS: %s@." e;
-     exit 1);
-  let args = strip_opts args in
-  let flags, names = List.partition (fun a -> String.length a > 1 && a.[0] = '-') args in
-  if List.mem "--full" flags then Util.scale := Util.Full;
-  if List.mem "--list" flags then begin
-    List.iter (fun (id, descr, _) -> Fmt.pr "%-6s %s@." id descr) experiments;
+  let names = parse [] (List.tl (Array.to_list Sys.argv)) in
+  if !list_only then begin
+    list_experiments ~indent:"";
     exit 0
   end;
-  List.iter
-    (fun n ->
-      if not (List.exists (fun (id, _, _) -> id = n) experiments) then begin
-        Fmt.epr "unknown experiment %S; try --list@." n;
-        exit 1
-      end)
-    names;
+  (* a plan on the command line replaces one from the environment *)
+  (try Engine.Faults.install_from_env ()
+   with Invalid_argument e -> usage_error "bad MIRA_FAULTS: %s" e);
+  Option.iter Engine.Faults.install !plan;
+  Option.iter open_trace !trace;
+  Option.iter write_metrics_at_exit !metrics;
   let selected =
     if names = [] then experiments
     else List.filter (fun (id, _, _) -> List.mem id names) experiments

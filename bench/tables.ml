@@ -286,9 +286,7 @@ let tab5 () =
       List.fold_left
         (fun (rows, sps) name ->
           let p = Workloads.program (Workloads.by_name_exn name) in
-          let eval =
-            Icc.Characterize.evaluator ~engine:(Util.engine_for amd) p
-          in
+          let eval = Engine.evaluator (Util.engine_for amd) p in
           let c0 = eval [] in
           let seq = Icc.Tournament.order model ~steps:5 p in
           let ct = eval seq in

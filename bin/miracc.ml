@@ -435,9 +435,7 @@ let train_cmd =
       make_engine ~config ~jobs ~cache ~inject ~max_restarts
         ~share:(not no_share)
     in
-    let kb =
-      Icc.Characterize.build_kb ~engine:eng ~config ~per_program programs
-    in
+    let kb = Icc.Characterize.build_kb ~engine:eng ~per_program programs in
     kb_io (fun () -> Knowledge.Kb.save kb out);
     Fmt.pr "wrote %s: %d experiments, %d programs@." out (Knowledge.Kb.size kb)
       (List.length (Knowledge.Kb.programs kb));

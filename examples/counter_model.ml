@@ -20,7 +20,10 @@ let () =
     |> List.map (fun n -> (n, Workloads.program (Workloads.by_name_exn n)))
   in
   Fmt.pr "building knowledge base (%d programs)...@." (List.length training);
-  let kb = Icc.Characterize.build_kb ~config ~per_program:25 training in
+  let kb =
+    Icc.Characterize.build_kb ~engine:(Engine.create config) ~per_program:25
+      training
+  in
 
   (* one profiling run of the new program *)
   let profile = Mach.Sim.run ~config target in

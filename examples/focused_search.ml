@@ -11,6 +11,7 @@
 let () =
   let config = Mach.Config.default in
   let arch = config.Mach.Config.name in
+  let engine = Engine.create config in
 
   (* leave one program out as the "new, unseen" program *)
   let target_name = "histogram" in
@@ -23,7 +24,7 @@ let () =
   in
 
   Fmt.pr "building knowledge base from %d programs...@." (List.length training);
-  let kb = Icc.Characterize.build_kb ~config ~per_program:25 training in
+  let kb = Icc.Characterize.build_kb ~engine ~per_program:25 training in
   Fmt.pr "knowledge base: %d experiments@." (Knowledge.Kb.size kb);
 
   let eval = Icc.Characterize.eval_sequence ~config target in
@@ -62,7 +63,7 @@ let () =
     (o0 /. focused.Search.Strategies.best_cost);
 
   (* the controller wraps all of this behind one call *)
-  let compiled, _ = Icc.Controller.iterative ~config ~budget:10 kb target in
+  let compiled, _ = Icc.Controller.iterative ~engine ~budget:10 kb target in
   Fmt.pr "controller chose: %s@."
     (Passes.Pass.sequence_to_string
        compiled.Icc.Controller.decision.Icc.Controller.sequence)

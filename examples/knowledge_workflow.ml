@@ -16,7 +16,10 @@ let () =
     |> List.map (fun w -> (w.Workloads.name, Workloads.program w))
   in
   Fmt.pr "session 1: exploring %d programs...@." (List.length training);
-  let kb = Icc.Characterize.build_kb ~config ~per_program:15 training in
+  let kb =
+    Icc.Characterize.build_kb ~engine:(Engine.create config) ~per_program:15
+      training
+  in
   let path = Filename.temp_file "intelligent-compiler" ".kb" in
   Knowledge.Kb.save kb path;
   Fmt.pr "saved %d experiments + %d characterizations to %s@."

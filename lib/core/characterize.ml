@@ -36,48 +36,22 @@ let eval_sequence ?(config = Mach.Config.default) (p : Ir.program)
   | r -> float_of_int r.Mach.Sim.cycles
   | exception (Mira.Interp.Trap _ | Mira.Interp.Out_of_fuel) -> infinity
 
-(* The cost oracle handed to search strategies and prediction models.
-   With an engine this is the cached path (the program is digested once);
-   without, it degrades to the direct simulator call above.  When both
-   are supplied the engine's machine configuration wins — an engine is
-   always built for one specific machine. *)
-let evaluator ?engine ?(config = Mach.Config.default) (p : Ir.program) :
-    Passes.Pass.t list -> float =
-  match engine with
-  | Some eng -> Engine.evaluator eng p
-  | None -> eval_sequence ~config p
-
-(* evaluate and record into the KB *)
-let record_experiment ?(config = Mach.Config.default) (kb : Knowledge.Kb.t)
-    ~(prog : string) (p : Ir.program) (seq : Passes.Pass.t list) : float =
-  let p' = Passes.Pass.apply_sequence seq p in
-  match Mach.Sim.run ~config p' with
-  | r ->
-    Knowledge.Kb.add_experiment kb
-      {
-        Knowledge.Kb.eprog = prog;
-        earch = config.Mach.Config.name;
-        seq;
-        cycles = r.Mach.Sim.cycles;
-        code_size = Ir.program_size p';
-      };
-    float_of_int r.Mach.Sim.cycles
-  | exception (Mira.Interp.Trap _ | Mira.Interp.Out_of_fuel) -> infinity
-
 (* Populate a knowledge base by random exploration of each training
    program's sequence space — the "significant training period" of
    Sec. III-C.  [per_program] sequences are tried per program; the O0 and
    fixed-pipeline points are always included so every program has a sane
    floor.
 
-   With an engine, every (program, sequence) pair of the whole build goes
-   into one batch: the worker pool simulates the misses in parallel and
-   warm caches skip them entirely.  Experiments land in the KB in the
-   same order as the serial path, and with identical measurements. *)
-let build_kb ?engine ?(config = Mach.Config.default) ?(seed = 42)
-    ?(per_program = 40) ?(length = Search.Space.default_length)
+   Every (program, sequence) pair of the whole build goes into one engine
+   batch: the worker pool simulates the misses in parallel and warm
+   caches skip them entirely.  Experiments land in the KB in plan order,
+   program by program. *)
+let build_kb ~engine ?(seed = 42) ?(per_program = 40)
+    ?(length = Search.Space.default_length)
     (programs : (string * Ir.program) list) : Knowledge.Kb.t =
   let kb = Knowledge.Kb.create () in
+  let config = Engine.config engine in
+  let arch = config.Mach.Config.name in
   let plan_for i (_, p) =
     let rng = Random.State.make [| seed + i |] in
     List.map
@@ -85,58 +59,38 @@ let build_kb ?engine ?(config = Mach.Config.default) ?(seed = 42)
       (([] : Passes.Pass.t list) :: Passes.Pass.o2 :: Passes.Pass.ofast
        :: Search.Space.sample_distinct rng ~length per_program)
   in
-  match engine with
-  | None ->
-    List.iteri
-      (fun i ((name, p) as entry) ->
-        Knowledge.Kb.add_characterization kb
-          (characterize ~config ~prog:name p);
-        List.iter
-          (fun (_, seq) -> ignore (record_experiment ~config kb ~prog:name p seq))
-          (plan_for i entry))
-      programs;
-    kb
-  | Some eng ->
-    let config = Engine.config eng in
-    let arch = config.Mach.Config.name in
-    let plans = List.mapi plan_for programs in
-    let outcomes = Engine.eval_many eng (List.concat plans) in
-    let cursor = ref 0 in
-    List.iter2
-      (fun (name, p) plan ->
-        let first = !cursor in
-        cursor := !cursor + List.length plan;
-        (* the O0 point is the first task of this program's plan: its
-           counter bank doubles as the dynamic characterization, so no
-           separate profiling run is needed *)
-        (match outcomes.(first) with
-         | { Engine.cycles = Some o0_cycles; counters = Some bank; _ } ->
-           Knowledge.Kb.add_characterization kb
-             {
-               Knowledge.Kb.prog = name;
-               arch;
-               o0_cycles;
-               features = Features.extract p;
-               counters = counter_assoc bank;
-             }
-         | _ ->
-           (* O0 failed (out of fuel?): fall back to the direct profile *)
-           Knowledge.Kb.add_characterization kb
-             (characterize ~config ~prog:name p));
-        List.iteri
-          (fun j (_, seq) ->
-            match outcomes.(first + j) with
-            | { Engine.cycles = Some cycles; code_size = Some code_size; _ }
-              ->
-              Knowledge.Kb.add_experiment kb
-                {
-                  Knowledge.Kb.eprog = name;
-                  earch = arch;
-                  seq;
-                  cycles;
-                  code_size;
-                }
-            | _ -> (* failed sequences are not recorded, as before *) ())
-          plan)
-      programs plans;
-    kb
+  let plans = List.mapi plan_for programs in
+  let outcomes = Engine.eval_many engine (List.concat plans) in
+  let cursor = ref 0 in
+  List.iter2
+    (fun (name, p) plan ->
+      let first = !cursor in
+      cursor := !cursor + List.length plan;
+      (* the O0 point is the first task of this program's plan: its
+         counter bank doubles as the dynamic characterization, so no
+         separate profiling run is needed *)
+      (match outcomes.(first) with
+       | { Engine.cycles = Some o0_cycles; counters = Some bank; _ } ->
+         Knowledge.Kb.add_characterization kb
+           {
+             Knowledge.Kb.prog = name;
+             arch;
+             o0_cycles;
+             features = Features.extract p;
+             counters = counter_assoc bank;
+           }
+       | _ ->
+         (* O0 failed (a trap, fuel exhaustion or a crashed worker):
+            profile directly, which raises the trap or the exhaustion *)
+         Knowledge.Kb.add_characterization kb
+           (characterize ~config ~prog:name p));
+      List.iteri
+        (fun j (_, seq) ->
+          match outcomes.(first + j) with
+          | { Engine.cycles = Some cycles; code_size = Some code_size; _ } ->
+            Knowledge.Kb.add_experiment kb
+              { Knowledge.Kb.eprog = name; earch = arch; seq; cycles; code_size }
+          | _ -> (* a failed sequence is not recorded *) ())
+        plan)
+    programs plans;
+  kb

@@ -5,37 +5,29 @@
 (** normalized (per-instruction) counter rates as a named list *)
 val counter_assoc : Mach.Counters.bank -> (string * float) list
 
-(** profile a program at -O0 on the given machine: static features +
-    counter rates + base cycles *)
+(** profile a program at -O0 on the given machine, directly (no engine):
+    static features + counter rates + base cycles *)
 val characterize :
   ?config:Mach.Config.t -> prog:string -> Mira.Ir.program ->
   Knowledge.Kb.characterization
 
 (** compile with [seq] and simulate; [infinity] when the optimized program
-    traps or diverges, so broken sequences lose every comparison *)
+    traps or diverges, so broken sequences lose every comparison.  The
+    engine-free reference that the engine's costs are checked against;
+    {!Engine.evaluator} is the cached cost oracle the controller and the
+    tournament use. *)
 val eval_sequence :
   ?config:Mach.Config.t -> Mira.Ir.program -> Passes.Pass.t list -> float
-
-(** The cost oracle handed to search strategies and prediction models.
-    With [engine] it is the cached engine path (program digested once);
-    without, the direct {!eval_sequence}.  If both [engine] and [config]
-    are given, the engine's machine configuration wins. *)
-val evaluator :
-  ?engine:Engine.t -> ?config:Mach.Config.t -> Mira.Ir.program ->
-  Passes.Pass.t list -> float
-
-(** like {!eval_sequence}, also appending the experiment to the KB *)
-val record_experiment :
-  ?config:Mach.Config.t -> Knowledge.Kb.t -> prog:string -> Mira.Ir.program ->
-  Passes.Pass.t list -> float
 
 (** Build a knowledge base by random exploration of each training
     program's sequence space (the paper's "significant training period").
     [per_program] random sequences plus the O0/O2/Ofast points are
-    evaluated per program.  With [engine], the whole build is one batch —
-    parallel across the worker pool, cached across runs — and produces a
-    KB identical to the serial path's. *)
+    evaluated per program, all through [engine] in one batch — parallel
+    across its worker pool, cached across runs — on the engine's machine.
+    A failed sequence is not recorded.
+    @raise Mira.Interp.Trap when a program's -O0 run traps
+    @raise Mira.Interp.Out_of_fuel when a program's -O0 run exhausts its
+    fuel *)
 val build_kb :
-  ?engine:Engine.t -> ?config:Mach.Config.t -> ?seed:int ->
-  ?per_program:int -> ?length:int ->
+  engine:Engine.t -> ?seed:int -> ?per_program:int -> ?length:int ->
   (string * Mira.Ir.program) list -> Knowledge.Kb.t

@@ -12,12 +12,13 @@ module Ir = Mira.Ir
      spend an evaluation budget searching; converges to the best sequence
      found.  This is the "iterate until the selection converges" mode.
 
-   Given an engine, the controller reuses what the engine holds: the -O0
-   profile is the engine's evaluation of the empty sequence (a cache hit
-   when the program was profiled before), and a chosen sequence the
-   engine evaluated compiles through its trie, where every prefix is
-   already materialized.  A sequence the engine never evaluated compiles
-   directly, so no engine keeps IRs alive for it. *)
+   The two modes that measure do so through an engine, on its machine,
+   and reuse what it holds: the -O0 profile is the engine's evaluation of
+   the empty sequence (a cache hit when the program was profiled before),
+   and a chosen sequence the engine evaluated compiles through its trie,
+   where every prefix is already materialized.  A sequence the engine
+   never evaluated compiles directly, so no engine keeps IRs alive for
+   it. *)
 
 module Kb = Knowledge.Kb
 
@@ -32,22 +33,18 @@ type compiled = {
   decision : decision;
 }
 
-(* the -O0 counter bank of the profiling run; a failed engine outcome (a
-   trap or fuel exhaustion, cached as a failure) is run again directly,
-   so it raises exactly as the direct path does *)
-let profile ?engine ~config p =
-  let direct () = (Mach.Sim.run ~config p).Mach.Sim.counters in
-  match engine with
-  | None -> direct ()
-  | Some eng -> (
-    match (Engine.eval eng p []).Engine.counters with
-    | Some bank -> bank
-    | None -> direct ())
+(* the -O0 counter bank of the profiling run; a failed outcome (a trap
+   or fuel exhaustion, cached by the engine as a failure) is run again
+   directly, so it raises the simulator's [Trap] or [Out_of_fuel] *)
+let profile engine p =
+  match (Engine.eval engine p []).Engine.counters with
+  | Some bank -> bank
+  | None -> (Mach.Sim.run ~config:(Engine.config engine) p).Mach.Sim.counters
 
 (* compile a sequence the engine evaluated, whose every prefix its trie
    already holds; without sharing there is no trie *)
-let compile_evaluated ?engine seq p =
-  match Option.bind engine Engine.trie with
+let compile_evaluated engine seq p =
+  match Engine.trie engine with
   | Some trie ->
     fst
       (Engine.Pctrie.apply_sequence trie p ~digest:(Engine.ir_digest p) seq)
@@ -77,12 +74,9 @@ let one_shot ?(config = Mach.Config.default) (kb : Kb.t) (p : Ir.program) :
 
 (* --- one-shot from performance counters (PCModel) ----------------- *)
 
-let one_shot_counters ?engine ?(config = Mach.Config.default) ?(trials = 1)
-    (kb : Kb.t) (p : Ir.program) : compiled =
-  let config =
-    match engine with Some eng -> Engine.config eng | None -> config
-  in
-  let arch = config.Mach.Config.name in
+let one_shot_counters ~engine ?(trials = 1) (kb : Kb.t) (p : Ir.program) :
+    compiled =
+  let arch = (Engine.config engine).Mach.Config.name in
   match Pcmodel.train kb ~arch with
   | None ->
     {
@@ -91,13 +85,13 @@ let one_shot_counters ?engine ?(config = Mach.Config.default) ?(trials = 1)
         { sequence = Passes.Pass.o2; predicted_from = []; evaluations = 0 };
     }
   | Some model ->
-    let counters = Characterize.counter_assoc (profile ?engine ~config p) in
+    let counters = Characterize.counter_assoc (profile engine p) in
     let sequence, evals =
       if trials <= 1 then (Pcmodel.predict model counters, 0)
       else begin
         let seq, _ =
           Pcmodel.predict_and_pick model ~trials counters
-            (Characterize.evaluator ?engine ~config p)
+            (Engine.evaluator engine p)
         in
         (seq, trials)
       end
@@ -109,27 +103,23 @@ let one_shot_counters ?engine ?(config = Mach.Config.default) ?(trials = 1)
     in
     {
       program =
-        (if evals > 0 then compile_evaluated ?engine sequence p
+        (if evals > 0 then compile_evaluated engine sequence p
          else Passes.Pass.apply_sequence sequence p);
       decision = { sequence; predicted_from; evaluations = 1 + evals };
     }
 
 (* --- iterative (model-focused search) ----------------------------- *)
 
-let iterative ?engine ?(config = Mach.Config.default) ?(seed = 1)
-    ?(budget = 20) ?(params = Search.Focused.default_params) (kb : Kb.t)
-    (p : Ir.program) : compiled * Search.Strategies.result =
-  let config =
-    match engine with Some eng -> Engine.config eng | None -> config
-  in
-  let arch = config.Mach.Config.name in
+let iterative ~engine ?(seed = 1) ?(budget = 20)
+    ?(params = Search.Focused.default_params) (kb : Kb.t) (p : Ir.program) :
+    compiled * Search.Strategies.result =
+  let arch = (Engine.config engine).Mach.Config.name in
   let feats = Features.restrict_to_similarity (Features.extract p) in
   let model =
     Search.Focused.fit_model kb ~arch ~params ~target_features:feats
   in
   let result =
-    Search.Focused.search ~seed ~budget model
-      (Characterize.evaluator ?engine ~config p)
+    Search.Focused.search ~seed ~budget model (Engine.evaluator engine p)
   in
   let neighbors =
     Search.Focused.nearest_programs kb ~arch ~target_features:feats
@@ -137,7 +127,7 @@ let iterative ?engine ?(config = Mach.Config.default) ?(seed = 1)
   in
   ( {
       program =
-        compile_evaluated ?engine result.Search.Strategies.best_seq p;
+        compile_evaluated engine result.Search.Strategies.best_seq p;
       decision =
         {
           sequence = result.Search.Strategies.best_seq;

@@ -126,9 +126,7 @@ let choose (t : t) (p : Ir.program) (fname : string) : int =
   Mlkit.Dtree.predict t.model (Features.to_vector (Features.extract_func p fname))
 
 (* compile: every function gets its predicted pipeline *)
-let compile ?(config = Mach.Config.default) (t : t) (p : Ir.program) :
-    Ir.program * (string * string) list =
-  ignore config;
+let compile (t : t) (p : Ir.program) : Ir.program * (string * string) list =
   let choicemap =
     List.map (fun fname -> (fname, choose t p fname)) (function_names p)
   in

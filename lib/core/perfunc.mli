@@ -43,6 +43,4 @@ val choose : t -> Mira.Ir.program -> string -> int
 
 (** optimize every function with its predicted pipeline; also returns the
     per-function choices for reporting *)
-val compile :
-  ?config:Mach.Config.t -> t -> Mira.Ir.program ->
-  Mira.Ir.program * (string * string) list
+val compile : t -> Mira.Ir.program -> Mira.Ir.program * (string * string) list

@@ -52,21 +52,15 @@ let instance_features (p : Ir.program) (a : Pass.t) (b : Pass.t) : float array
    arbitrary intermediate states.  At each state both candidate choices
    are pursued and evaluated, per the methodology; near-ties (< 0.2%
    apart) are discarded as label noise. *)
-let gen_instances ?engine ?(config = Mach.Config.default) ?(seed = 1)
-    ?(steps = 4) ?(pairs_per_step = 6) (p : Ir.program) : instance list =
+let gen_instances ~engine ?(seed = 1) ?(steps = 4) ?(pairs_per_step = 6)
+    (p : Ir.program) : instance list =
   let rng = Random.State.make [| seed |] in
   let out = ref [] in
   (* candidates are evaluated as (state, candidate :: completion) so the
      engine sees the shared state: its trie compiles the completion tail
      once per distinct intermediate IR, and candidates whose pass is a
      no-op on this state dedup to a single simulation.  The measured
-     program is apply_sequence (candidate :: completion) state — exactly
-     what pre-compiling by hand measured. *)
-  let cost p seq =
-    match engine with
-    | Some eng -> (Engine.eval eng p seq).Engine.cost
-    | None -> Characterize.eval_sequence ~config p seq
-  in
+     program is apply_sequence (candidate :: completion) state. *)
   for step = 0 to steps - 1 do
     (if not (Obs.Trace.enabled ()) then fun f -> f ()
      else
@@ -83,21 +77,20 @@ let gen_instances ?engine ?(config = Mach.Config.default) ?(seed = 1)
     (* with a parallel engine, score every candidate of this decision
        point in one batch: a few eagerly evaluated losers buy a
        pool-wide fan-out (and a warm cache makes them free anyway) *)
-    (match engine with
-     | Some eng when Engine.jobs eng > 1 ->
-       let candidates =
-         List.map (fun pass -> (state, pass :: completion)) Pass.all
-       in
-       let outs = Engine.eval_many eng candidates in
-       List.iteri
-         (fun i pass -> Hashtbl.replace costs pass outs.(i).Engine.cost)
-         Pass.all
-     | _ -> ());
+    if Engine.jobs engine > 1 then begin
+      let candidates =
+        List.map (fun pass -> (state, pass :: completion)) Pass.all
+      in
+      let outs = Engine.eval_many engine candidates in
+      List.iteri
+        (fun i pass -> Hashtbl.replace costs pass outs.(i).Engine.cost)
+        Pass.all
+    end;
     let cost_of pass =
       match Hashtbl.find_opt costs pass with
       | Some c -> c
       | None ->
-        let c = cost state (pass :: completion) in
+        let c = (Engine.eval engine state (pass :: completion)).Engine.cost in
         Hashtbl.replace costs pass c;
         c
     in

@@ -14,14 +14,14 @@ val instance_features :
   Mira.Ir.program -> Passes.Pass.t -> Passes.Pass.t -> float array
 
 (** Generate labelled instances from one program, pursuing both choices
-    at each decision point and evaluating them on the machine model, as
-    the methodology prescribes.  Instances come in mirrored pairs.
-    With [engine], candidate evaluations go through the cached engine
-    (and, when its pool is parallel, each decision point is scored as
-    one batch); the generated instances are identical either way. *)
+    at each decision point and evaluating them through [engine] on its
+    machine, as the methodology prescribes.  Instances come in mirrored
+    pairs.  When the engine's pool is parallel, each decision point is
+    scored as one batch; the generated instances are the same either
+    way. *)
 val gen_instances :
-  ?engine:Engine.t -> ?config:Mach.Config.t -> ?seed:int -> ?steps:int ->
-  ?pairs_per_step:int -> Mira.Ir.program -> instance list
+  engine:Engine.t -> ?seed:int -> ?steps:int -> ?pairs_per_step:int ->
+  Mira.Ir.program -> instance list
 
 type t = { tree : Mlkit.Dtree.t }
 

@@ -11,20 +11,6 @@ let dot (a : float array) (b : float array) : float =
   done;
   !s
 
-let norm2 a = sqrt (dot a a)
-
-let sub a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Linalg.sub: dimension mismatch";
-  Array.init (Array.length a) (fun i -> a.(i) -. b.(i))
-
-let add a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Linalg.add: dimension mismatch";
-  Array.init (Array.length a) (fun i -> a.(i) +. b.(i))
-
-let scale k a = Array.map (fun x -> k *. x) a
-
 let euclidean a b =
   if Array.length a <> Array.length b then
     invalid_arg "Linalg.euclidean: dimension mismatch";
@@ -52,51 +38,6 @@ let std xs = sqrt (variance xs)
 
 (* column [j] of a row-major matrix *)
 let column (m : float array array) j = Array.map (fun row -> row.(j)) m
-
-(* Solve A x = b by Gaussian elimination with partial pivoting.
-   A is destroyed; raises [Failure] on a (near-)singular system. *)
-let solve (a : float array array) (b : float array) : float array =
-  let n = Array.length a in
-  if n = 0 || Array.length b <> n then invalid_arg "Linalg.solve: bad shapes";
-  Array.iter
-    (fun row ->
-      if Array.length row <> n then invalid_arg "Linalg.solve: not square")
-    a;
-  let b = Array.copy b in
-  for col = 0 to n - 1 do
-    (* pivot *)
-    let piv = ref col in
-    for r = col + 1 to n - 1 do
-      if Float.abs a.(r).(col) > Float.abs a.(!piv).(col) then piv := r
-    done;
-    if Float.abs a.(!piv).(col) < 1e-12 then failwith "Linalg.solve: singular";
-    if !piv <> col then begin
-      let t = a.(col) in
-      a.(col) <- a.(!piv);
-      a.(!piv) <- t;
-      let tb = b.(col) in
-      b.(col) <- b.(!piv);
-      b.(!piv) <- tb
-    end;
-    for r = col + 1 to n - 1 do
-      let f = a.(r).(col) /. a.(col).(col) in
-      if f <> 0.0 then begin
-        for c = col to n - 1 do
-          a.(r).(c) <- a.(r).(c) -. (f *. a.(col).(c))
-        done;
-        b.(r) <- b.(r) -. (f *. b.(col))
-      end
-    done
-  done;
-  let x = Array.make n 0.0 in
-  for r = n - 1 downto 0 do
-    let s = ref b.(r) in
-    for c = r + 1 to n - 1 do
-      s := !s -. (a.(r).(c) *. x.(c))
-    done;
-    x.(r) <- !s /. a.(r).(r)
-  done;
-  x
 
 let argmax (xs : float array) : int =
   if Array.length xs = 0 then invalid_arg "Linalg.argmax: empty";

@@ -3,11 +3,6 @@
 (** dot product.  @raise Invalid_argument on dimension mismatch. *)
 val dot : float array -> float array -> float
 
-val norm2 : float array -> float
-val sub : float array -> float array -> float array
-val add : float array -> float array -> float array
-val scale : float -> float array -> float array
-
 (** Euclidean distance.  @raise Invalid_argument on dimension mismatch. *)
 val euclidean : float array -> float array -> float
 
@@ -20,12 +15,6 @@ val std : float array -> float
 
 (** column [j] of a row-major matrix *)
 val column : float array array -> int -> float array
-
-(** Solve [A x = b] by Gaussian elimination with partial pivoting.
-    [A] is destroyed.
-    @raise Failure on a (near-)singular system
-    @raise Invalid_argument on bad shapes *)
-val solve : float array array -> float array -> float array
 
 (** index of the maximum element.  @raise Invalid_argument on empty. *)
 val argmax : float array -> int

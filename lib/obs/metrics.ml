@@ -181,16 +181,11 @@ let metric_to_json m =
   | G g ->
     Obj [ ("type", Str "gauge"); ("name", Str g.gname); ("value", num g.g) ]
   | H h ->
-    (* sparse: only non-empty buckets, as [index,count] pairs — the
-       typical histogram hits a handful of its 66 buckets *)
-    let bucket i n = if n > 0 then [ List [ int i; int n ] ] else [] in
-    let buckets = List.concat (List.mapi bucket (Array.to_list h.counts)) in
     Obj
       [ ("type", Str "histogram"); ("name", Str h.hname); ("unit", Str h.hunit);
         ("count", int h.n); ("sum", num h.sum); ("min", num h.mn);
         ("max", num h.mx); ("p50", num (quantile h 0.5));
-        ("p90", num (quantile h 0.9)); ("p99", num (quantile h 0.99));
-        ("buckets", List buckets) ]
+        ("p90", num (quantile h 0.9)); ("p99", num (quantile h 0.99)) ]
 
 let to_jsonl () =
   Hashtbl.fold

@@ -55,8 +55,12 @@ let training =
     ("tbranchy", tiny_branchy); ("trec", tiny_rec);
   ]
 
+let engine () = Engine.create Mach.Config.default
+
 let small_kb =
-  lazy (Icc.Characterize.build_kb ~seed:7 ~per_program:12 training)
+  lazy
+    (Icc.Characterize.build_kb ~engine:(engine ()) ~seed:7 ~per_program:12
+       training)
 
 (* ------------------------------------------------------------------ *)
 (* features *)
@@ -116,7 +120,9 @@ let test_build_kb_contents () =
       let exps = Knowledge.Kb.experiments kb ~prog:name ~arch:"amd-like" in
       (* 12 random + O0 + O2 + Ofast *)
       Alcotest.(check int) (name ^ " experiment count") 15 (List.length exps))
-    training
+    training;
+  Alcotest.(check string) "kb digest" "fbbaec37fdf05427b03204adf18658c3"
+    (Digest.to_hex (Digest.string (Knowledge.Kb.to_string kb)))
 
 let test_eval_sequence_traps_are_infinite () =
   let trapping = compile "fn main() -> int { var z: int = 0; return 1 / z; }" in
@@ -200,7 +206,9 @@ let test_one_shot_behaviour_preserved () =
 
 let test_one_shot_counters_runs_profile () =
   let kb = Lazy.force small_kb in
-  let c = Icc.Controller.one_shot_counters ~trials:2 kb tiny_mem in
+  let c =
+    Icc.Controller.one_shot_counters ~engine:(engine ()) ~trials:2 kb tiny_mem
+  in
   Alcotest.(check bool) "profiling run counted" true
     (c.Icc.Controller.decision.Icc.Controller.evaluations >= 1);
   let before = Mira.Interp.observe tiny_mem in
@@ -211,7 +219,9 @@ let test_one_shot_counters_runs_profile () =
 let test_iterative_improves () =
   let kb = Lazy.force small_kb in
   let p = tiny_loop in
-  let compiled, result = Icc.Controller.iterative ~seed:3 ~budget:8 kb p in
+  let compiled, result =
+    Icc.Controller.iterative ~engine:(engine ()) ~seed:3 ~budget:8 kb p
+  in
   let c0 = Icc.Characterize.eval_sequence p [] in
   Alcotest.(check bool)
     (Printf.sprintf "found improvement (%.0f -> %.0f)" c0
@@ -224,7 +234,7 @@ let test_iterative_improves () =
     (Mira.Interp.equal_observation before after)
 
 (* everything of a controller result that must not depend on whether
-   an engine served it *)
+   the engine shares compilations *)
 let decision_text (c : Icc.Controller.compiled) =
   let d = c.Icc.Controller.decision in
   Printf.sprintf "%s | %s | %d | %s"
@@ -233,27 +243,22 @@ let decision_text (c : Icc.Controller.compiled) =
     d.Icc.Controller.evaluations
     (Engine.ir_digest c.Icc.Controller.program)
 
-let test_controller_engine_agnostic () =
+let test_controller_sharing_agnostic () =
   let kb = Lazy.force small_kb in
   let modes =
     [ ("counters", fun engine ->
-          Icc.Controller.one_shot_counters ?engine kb tiny_mem);
+          Icc.Controller.one_shot_counters ~engine kb tiny_mem);
       ("counters with trials", fun engine ->
-          Icc.Controller.one_shot_counters ?engine ~trials:3 kb tiny_mem);
+          Icc.Controller.one_shot_counters ~engine ~trials:3 kb tiny_mem);
       ("iterative", fun engine ->
-          fst (Icc.Controller.iterative ?engine ~seed:3 ~budget:8 kb tiny_loop)) ]
+          fst (Icc.Controller.iterative ~engine ~seed:3 ~budget:8 kb tiny_loop)) ]
   in
   List.iter
     (fun (mode, run) ->
-      let direct = decision_text (run None) in
-      List.iter
-        (fun share ->
-          let eng = Engine.create ~share Mach.Config.default in
-          Alcotest.(check string)
-            (Printf.sprintf "%s, share %b" mode share)
-            direct
-            (decision_text (run (Some eng))))
-        [ true; false ])
+      let decide share =
+        decision_text (run (Engine.create ~share Mach.Config.default))
+      in
+      Alcotest.(check string) mode (decide false) (decide true))
     modes
 
 (* a repeated decision on the same engine, on a fresh copy of the
@@ -287,30 +292,36 @@ let test_controller_reuses_engine () =
     (twice "iterative" (fun p ->
          Icc.Controller.iterative ~engine:eng ~seed:3 ~budget:8 kb p))
 
-(* an -O0 profile that traps raises the direct path's trap, also when
-   the engine has cached the failure *)
+(* an -O0 profile that traps raises the simulator's trap, also when the
+   engine has cached the failure *)
 let test_controller_profile_trap () =
   let kb = Lazy.force small_kb in
   Alcotest.(check bool) "the KB yields a counter model" true
     (Option.is_some
        (Icc.Pcmodel.train kb ~arch:Mach.Config.default.Mach.Config.name));
-  let src = {|fn main() -> int { var z: int = 0; return 1 / z; }|} in
+  let p = compile {|fn main() -> int { var z: int = 0; return 1 / z; }|} in
+  let reference =
+    match Mach.Sim.run p with
+    | _ -> Alcotest.fail "the program did not trap"
+    | exception Mira.Interp.Trap msg -> msg
+  in
   let trap engine =
-    match Icc.Controller.one_shot_counters ?engine kb (compile src) with
+    match Icc.Controller.one_shot_counters ~engine kb p with
     | _ -> Alcotest.fail "the -O0 profile did not trap"
     | exception Mira.Interp.Trap msg -> msg
   in
-  let direct = trap None in
-  let eng = Some (Engine.create Mach.Config.default) in
-  Alcotest.(check string) "first profile on an engine" direct (trap eng);
-  Alcotest.(check string) "repeated profile on an engine" direct (trap eng);
-  Alcotest.(check string) "repeated direct profile" direct (trap None)
+  let eng = engine () in
+  Alcotest.(check string) "first profile on an engine" reference (trap eng);
+  Alcotest.(check string) "repeated profile on an engine" reference (trap eng)
 
 (* ------------------------------------------------------------------ *)
 (* tournament *)
 
 let test_tournament_instances_symmetric () =
-  let insts = Icc.Tournament.gen_instances ~seed:2 ~steps:2 ~pairs_per_step:4 tiny_loop in
+  let insts =
+    Icc.Tournament.gen_instances ~engine:(engine ()) ~seed:2 ~steps:2
+      ~pairs_per_step:4 tiny_loop
+  in
   (* instances come in mirrored pairs with opposite labels *)
   Alcotest.(check bool) "even count" true (List.length insts mod 2 = 0);
   let ones = List.length (List.filter (fun i -> i.Icc.Tournament.label = 1) insts) in
@@ -320,7 +331,8 @@ let test_tournament_orders () =
   let insts =
     List.concat_map
       (fun (_, p) ->
-        Icc.Tournament.gen_instances ~seed:4 ~steps:2 ~pairs_per_step:5 p)
+        Icc.Tournament.gen_instances ~engine:(engine ()) ~seed:4 ~steps:2
+          ~pairs_per_step:5 p)
       [ ("a", tiny_loop); ("b", tiny_mem) ]
   in
   match Icc.Tournament.train insts with
@@ -511,8 +523,8 @@ let suite =
         t "one shot" test_one_shot_behaviour_preserved;
         t "one shot counters" test_one_shot_counters_runs_profile;
         t "iterative" test_iterative_improves;
-        t "same decision with or without an engine"
-          test_controller_engine_agnostic;
+        t "same decision with or without sharing"
+          test_controller_sharing_agnostic;
         t "repeated decision reuses the engine" test_controller_reuses_engine;
         t "trapping profile raises on an engine" test_controller_profile_trap;
       ] );

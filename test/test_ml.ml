@@ -68,19 +68,6 @@ let test_kfolds_partition () =
 
 (* ------------------------------------------------------------------ *)
 
-let test_linalg_solve () =
-  (* 2x + y = 5; x - y = 1  =>  x = 2, y = 1 *)
-  let a = [| [| 2.0; 1.0 |]; [| 1.0; -1.0 |] |] in
-  let x = Mlkit.Linalg.solve a [| 5.0; 1.0 |] in
-  Alcotest.(check (float 1e-9)) "x" 2.0 x.(0);
-  Alcotest.(check (float 1e-9)) "y" 1.0 x.(1)
-
-let test_linalg_singular () =
-  let a = [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |] in
-  match Mlkit.Linalg.solve a [| 1.0; 2.0 |] with
-  | _ -> Alcotest.fail "singular system solved"
-  | exception Failure _ -> ()
-
 let test_scaling_standardizes () =
   let xs = [| [| 1.0; 10.0 |]; [| 2.0; 20.0 |]; [| 3.0; 30.0 |] |] in
   let _, scaled = Mlkit.Scaling.standardize xs in
@@ -158,31 +145,6 @@ let test_loocv_reasonable () =
     Mlkit.Eval.loocv (fun tr -> Mlkit.Knn.predict (Mlkit.Knn.fit ~k:3 tr)) d
   in
   Alcotest.(check bool) "loocv near 1 on separable" true (acc > 0.9)
-
-let test_linreg_exact () =
-  (* y = 3x + 2 exactly *)
-  let xs = Array.init 10 (fun i -> [| float_of_int i |]) in
-  let ys = Array.map (fun x -> (3.0 *. x.(0)) +. 2.0) xs in
-  let m = Mlkit.Linreg.fit ~l2:0.0 xs ys in
-  Alcotest.(check (float 1e-6)) "slope" 3.0 m.Mlkit.Linreg.w.(0);
-  Alcotest.(check (float 1e-6)) "intercept" 2.0 m.Mlkit.Linreg.b;
-  Alcotest.(check (float 1e-9)) "r2" 1.0 (Mlkit.Linreg.r2 m xs ys)
-
-let test_kmeans_blobs () =
-  let d = blobs ~n:60 () in
-  let m = Mlkit.Kmeans.fit ~k:2 d.Mlkit.Dataset.xs in
-  (* all members of a true class end in the same cluster *)
-  let c0 = Mlkit.Kmeans.predict m d.Mlkit.Dataset.xs.(0) in
-  let c1 = Mlkit.Kmeans.predict m d.Mlkit.Dataset.xs.(1) in
-  Alcotest.(check bool) "clusters differ" true (c0 <> c1);
-  let pure = ref true in
-  Array.iteri
-    (fun i x ->
-      let c = Mlkit.Kmeans.predict m x in
-      let expect = if i mod 2 = 0 then c0 else c1 in
-      if c <> expect then pure := false)
-    d.Mlkit.Dataset.xs;
-  Alcotest.(check bool) "clusters match classes" true !pure
 
 let test_mutual_information_ranking () =
   (* feature 0 fully determines the label; feature 1 is noise *)
@@ -287,23 +249,6 @@ let prop_proba_sums_to_one =
           && close (Mlkit.Naive_bayes.predict_proba nb x))
         (Array.to_list xs))
 
-let prop_kmeans_assignment_is_nearest =
-  QCheck.Test.make ~name:"kmeans assigns to nearest centroid" ~count:50
-    (QCheck.make gen_points)
-    (fun pts ->
-      let xs = Array.of_list (List.map (fun ((x, y), _) -> [| x; y |]) pts) in
-      Array.length xs < 3
-      ||
-      let m = Mlkit.Kmeans.fit ~k:2 xs in
-      Array.for_all
-        (fun x ->
-          let c = Mlkit.Kmeans.predict m x in
-          let dc = Mlkit.Linalg.euclidean x m.Mlkit.Kmeans.centroids.(c) in
-          Array.for_all
-            (fun other -> dc <= Mlkit.Linalg.euclidean x other +. 1e-9)
-            m.Mlkit.Kmeans.centroids)
-        xs)
-
 let suite =
   let t name f = Alcotest.test_case name `Quick f in
   [
@@ -313,8 +258,6 @@ let suite =
         t "loocv split" test_dataset_loocv_split;
         t "kfolds partition" test_kfolds_partition;
       ] );
-    ( "linalg",
-      [ t "solve" test_linalg_solve; t "singular" test_linalg_singular ] );
     ( "scaling",
       [
         t "standardizes" test_scaling_standardizes;
@@ -329,8 +272,6 @@ let suite =
         t "multiclass" test_multiclass;
         t "loocv" test_loocv_reasonable;
       ] );
-    ("regression", [ t "linreg exact" test_linreg_exact ]);
-    ("clustering", [ t "kmeans blobs" test_kmeans_blobs ]);
     ( "features",
       [
         t "mutual information" test_mutual_information_ranking;
@@ -343,7 +284,6 @@ let suite =
           prop_scaling_idempotent_shape;
           prop_dtree_no_deeper_than_max;
           prop_proba_sums_to_one;
-          prop_kmeans_assignment_is_nearest;
         ] );
   ]
 
